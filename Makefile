@@ -22,46 +22,45 @@ bench-baseline:
 	$(PYTHON) -m pytest benchmarks/test_bench_entropy_engine.py -q \
 		--benchmark-json=BENCH_entropy_engine.json
 
-## compare discovery strategies + serial vs multiprocessing scoring;
-## appends a record to BENCH_discovery_strategies.json (see
-## docs/architecture.md)
+## compare the registered discovery strategies; appends a record to
+## BENCH_discovery_strategies.json (see docs/architecture.md)
 bench-strategies:
-	$(PYTHON) -m pytest benchmarks/test_bench_strategies.py -q -s \
+	REPRO_BENCH_RECORD=1 $(PYTHON) -m pytest benchmarks/test_bench_strategies.py -q -s \
 		--benchmark-columns=mean,ops
 
 ## engine-backed evaluation layer vs the pinned legacy paths at
 ## N=1e4/1e5; appends a record to BENCH_jmeasure.json (see
 ## docs/performance.md)
 bench-jmeasure:
-	$(PYTHON) -m pytest benchmarks/test_bench_jmeasure.py -q -s \
+	REPRO_BENCH_RECORD=1 $(PYTHON) -m pytest benchmarks/test_bench_jmeasure.py -q -s \
 		--benchmark-disable
 
 ## streaming ingestion + sketch mining vs the eager path, peak-RSS and
 ## wall-clock at N=1e5 *and* N=1e6; appends a record to
 ## BENCH_streaming.json (see docs/performance.md)
 bench-streaming:
-	BENCH_STREAMING_FULL=1 $(PYTHON) -m pytest \
+	REPRO_BENCH_RECORD=1 BENCH_STREAMING_FULL=1 $(PYTHON) -m pytest \
 		benchmarks/test_bench_streaming.py -q -s --benchmark-disable
 
 ## serving layer: cold-vs-warm HTTP latency + concurrent throughput
 ## against an in-process server; appends a record to BENCH_service.json
 ## (see docs/service.md)
 bench-service:
-	BENCH_SERVICE_FULL=1 $(PYTHON) -m pytest \
+	REPRO_BENCH_RECORD=1 BENCH_SERVICE_FULL=1 $(PYTHON) -m pytest \
 		benchmarks/test_bench_service.py -q -s --benchmark-disable
 
 ## persistent columnar snapshots vs CSV re-ingest + batch-of-8 vs 8
 ## singleton jobs over HTTP; appends a record to BENCH_store.json (see
 ## docs/performance.md)
 bench-store:
-	BENCH_STORE_FULL=1 $(PYTHON) -m pytest \
+	REPRO_BENCH_RECORD=1 BENCH_STORE_FULL=1 $(PYTHON) -m pytest \
 		benchmarks/test_bench_store.py -q -s --benchmark-disable
 
 ## multi-process scale-out: uncached mixed-dataset throughput at
 ## worker_procs 1/2/4 vs single-process; appends the cluster sweep
 ## tier to BENCH_service.json (see docs/service.md)
 bench-cluster:
-	BENCH_CLUSTER_SWEEP=1 $(PYTHON) -m pytest \
+	REPRO_BENCH_RECORD=1 BENCH_CLUSTER_SWEEP=1 $(PYTHON) -m pytest \
 		benchmarks/test_bench_service.py -q -s -k cluster \
 		--benchmark-disable
 

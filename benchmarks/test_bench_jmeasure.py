@@ -12,17 +12,15 @@ evaluation (J entropy form, J KL form, ρ, per-split losses) on
   counting).
 
 Both stacks are asserted equal (ρ and split losses bit-for-bit, J forms
-to 1e-9) before timing.  Every run appends a record — timings, speedups,
-machine info — to ``BENCH_jmeasure.json`` at the repo root via
-``make bench-jmeasure``.
+to 1e-9) before timing.  ``make bench-jmeasure`` appends a record —
+timings, speedups, machine info — to ``BENCH_jmeasure.json`` at the
+repo root (see ``bench_record.py``; a plain pytest run writes nothing).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +33,9 @@ from repro.core.loss import spurious_loss, support_split_losses
 from repro.core.random_relations import random_relation
 from repro.jointrees.build import jointree_from_schema
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_jmeasure.json"
+from bench_record import append_record
+
+RESULTS_NAME = "BENCH_jmeasure.json"
 
 TREE = jointree_from_schema([{"A", "B", "C"}, {"B", "C", "D"}, {"C", "D", "E"}])
 
@@ -46,25 +46,11 @@ _RECORD: dict = {
 }
 
 
-def _append_record() -> None:
-    _RECORD["timestamp"] = time.time()
-    history = []
-    if RESULTS_PATH.exists():
-        try:
-            history = json.loads(RESULTS_PATH.read_text())
-        except json.JSONDecodeError:
-            history = []
-    if not isinstance(history, list):
-        history = [history]
-    history.append(_RECORD)
-    RESULTS_PATH.write_text(json.dumps(history, indent=2, sort_keys=True) + "\n")
-
-
 @pytest.fixture(scope="module", autouse=True)
 def _append_results():
     """Accumulate this session's numbers into the bench history file."""
     yield
-    _append_record()
+    append_record(RESULTS_NAME, _RECORD)
 
 
 def _make_relation(n: int, seed: int):

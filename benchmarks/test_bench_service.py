@@ -21,10 +21,10 @@ HTTP against an in-process server:
 * **cluster**: the same service with ``worker_procs`` subprocess
   shards vs single-process, on an uncached mixed-dataset workload —
   ``cluster_vs_single_proc_rps_ratio`` is the scale-out factor (or,
-  on a single core, the dispatch-overhead factor).
+  below four cores, the dispatch-overhead factor).
 
-Every run appends a record to ``BENCH_service.json`` at the repo root
-via ``make bench-service``.  The smoke tier (N=2·10⁴ rows) always
+``make bench-service`` appends a record to ``BENCH_service.json`` at
+the repo root (see ``bench_record.py``).  The smoke tier (N=2·10⁴ rows) always
 runs; the full tier (N=10⁵) is opt-in via ``BENCH_SERVICE_FULL=1``;
 ``make bench-cluster`` adds a worker-count sweep
 (``BENCH_CLUSTER_SWEEP=1``).
@@ -33,7 +33,6 @@ runs; the full tier (N=10⁵) is opt-in via ``BENCH_SERVICE_FULL=1``;
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import statistics
 import threading
@@ -48,8 +47,9 @@ from repro.factorize.report import validate_report
 from repro.relations.io import write_csv
 from repro.service import Service, ServiceClient, ServiceConfig
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULTS_PATH = REPO_ROOT / "BENCH_service.json"
+from bench_record import append_record
+
+RESULTS_NAME = "BENCH_service.json"
 
 _RECORD: dict = {
     "bench": "service_layer",
@@ -58,26 +58,12 @@ _RECORD: dict = {
 }
 
 
-def _append_record() -> None:
-    _RECORD["timestamp"] = time.time()
-    history = []
-    if RESULTS_PATH.exists():
-        try:
-            history = json.loads(RESULTS_PATH.read_text())
-        except json.JSONDecodeError:
-            history = []
-    if not isinstance(history, list):
-        history = [history]
-    history.append(_RECORD)
-    RESULTS_PATH.write_text(json.dumps(history, indent=2, sort_keys=True) + "\n")
-
-
 @pytest.fixture(scope="module", autouse=True)
 def _append_results():
     """Accumulate this session's numbers into the bench history file."""
     yield
     if _RECORD["tiers"]:
-        _append_record()
+        append_record(RESULTS_NAME, _RECORD)
 
 
 def _tier_params():
@@ -495,12 +481,13 @@ def run_cluster_tier(
 
 
 def test_bench_service_cluster(tmp_path):
-    # Real cores available: the shard split must actually scale.
-    # Single core: no parallelism to win, so the bar is overhead —
-    # socket dispatch + hydration may cost at most 2x.  One re-measure
+    # Four or more cores: the shard split must actually scale.  Below
+    # that, two worker processes, the front end and the client threads
+    # contend for the same cores, so the bar is overhead — socket
+    # dispatch + hydration may cost at most 2x.  One re-measure
     # on a fresh pair of servers absorbs scheduler noise (both sides
     # are short wall-clock windows on a contended box).
-    floor = 1.5 if (os.cpu_count() or 1) >= 2 else 0.5
+    floor = 1.5 if (os.cpu_count() or 1) >= 4 else 0.5
     for attempt in range(2):
         tier = run_cluster_tier(20_000, 59, tmp_path / f"try{attempt}")
         ratio = tier["cluster_vs_single_proc_rps_ratio"]

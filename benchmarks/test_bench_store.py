@@ -13,14 +13,13 @@ The acceptance scenarios of the persistence PR, measured two ways:
   one resident engine).  Results must be bit-identical; the batch must
   reach the server as exactly one job.
 
-Every run appends a record to ``BENCH_store.json`` at the repo root via
-``make bench-store``.  The smoke tier (N=2·10⁴ rows) always runs; the
+``make bench-store`` appends a record to ``BENCH_store.json`` at the
+repo root (see ``bench_record.py``).  The smoke tier (N=2·10⁴ rows) always runs; the
 full tier (N=10⁵) is opt-in via ``BENCH_STORE_FULL=1``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
@@ -33,8 +32,9 @@ from repro.relations.io import infer_integer_domains, read_csv, write_csv
 from repro.relations.persist import load_snapshot, save_snapshot
 from repro.service import Service, ServiceClient, ServiceConfig
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULTS_PATH = REPO_ROOT / "BENCH_store.json"
+from bench_record import append_record
+
+RESULTS_NAME = "BENCH_store.json"
 
 _RECORD: dict = {
     "bench": "columnar_store",
@@ -56,26 +56,12 @@ BATCH_SCHEMAS = [
 ]
 
 
-def _append_record() -> None:
-    _RECORD["timestamp"] = time.time()
-    history = []
-    if RESULTS_PATH.exists():
-        try:
-            history = json.loads(RESULTS_PATH.read_text())
-        except json.JSONDecodeError:
-            history = []
-    if not isinstance(history, list):
-        history = [history]
-    history.append(_RECORD)
-    RESULTS_PATH.write_text(json.dumps(history, indent=2, sort_keys=True) + "\n")
-
-
 @pytest.fixture(scope="module", autouse=True)
 def _append_results():
     """Accumulate this session's numbers into the bench history file."""
     yield
     if _RECORD["tiers"]:
-        _append_record()
+        append_record(RESULTS_NAME, _RECORD)
 
 
 def _tier_params():

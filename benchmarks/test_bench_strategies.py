@@ -1,58 +1,33 @@
-"""Bench — discovery strategies and split-scoring backends.
+"""Bench — discovery strategies.
 
-Two comparisons on the layered discovery engine
-(`docs/architecture.md`):
+One full mine per registered strategy on an N≈10⁴-row planted-MVD
+relation, cold caches per round (pytest-benchmark timings), on the
+layered discovery engine (`docs/architecture.md`).
 
-1. **Strategies** — one full mine per registered strategy on an
-   N≈10⁴-row planted-MVD relation, cold caches per round
-   (pytest-benchmark timings).
-2. **Scoring backends** — one large candidate batch (6 attributes,
-   ~226 splits) scored serially vs through the multiprocessing backend
-   at N=10⁴ and N=10⁵ rows, cold engines per measurement.
-
-Every run appends a JSON record (timings, speedups, `cpu_count`,
-`workers`) to ``BENCH_discovery_strategies.json`` at the repo root, so
-the file accumulates a machine-annotated history.  The multiprocessing
-backend can only win with ≥2 CPU cores; on single-core machines the
-record documents the overhead instead (results are asserted equal, not
-faster).
+``make bench-strategies`` appends a JSON record (per-strategy mean
+seconds, `cpu_count`) to ``BENCH_discovery_strategies.json`` at the repo
+root (see ``bench_record.py``), so the file accumulates a
+machine-annotated history.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.random_relations import random_relation
 from repro.datasets.synthetic import planted_mvd_relation
-from repro.discovery import (
-    MultiprocessSplitScorer,
-    SearchContext,
-    SerialSplitScorer,
-    available_strategies,
-    mine_jointree,
-)
-from repro.discovery.strategies.base import enumerate_split_candidates
-from repro.info.engine import EntropyEngine
+from repro.discovery import available_strategies, mine_jointree
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / (
-    "BENCH_discovery_strategies.json"
-)
+from bench_record import append_record
 
-#: Worker count exercised by the multiprocessing measurements.
-WORKERS = 2
+RESULTS_NAME = "BENCH_discovery_strategies.json"
 
 _RECORD: dict = {
     "bench": "discovery_strategies",
     "cpu_count": os.cpu_count(),
-    "workers": WORKERS,
     "strategies_s": {},
-    "scorer": {},
 }
 
 
@@ -66,17 +41,7 @@ def _cold(relation):
 def _append_results():
     """Accumulate this session's numbers into the bench history file."""
     yield
-    _RECORD["timestamp"] = time.time()
-    history = []
-    if RESULTS_PATH.exists():
-        try:
-            history = json.loads(RESULTS_PATH.read_text())
-        except json.JSONDecodeError:
-            history = []
-    if not isinstance(history, list):
-        history = [history]
-    history.append(_RECORD)
-    RESULTS_PATH.write_text(json.dumps(history, indent=2, sort_keys=True) + "\n")
+    append_record(RESULTS_NAME, _RECORD)
 
 
 @pytest.fixture(scope="module")
@@ -85,24 +50,6 @@ def planted_1e4():
     return planted_mvd_relation(30, 30, 12, np.random.default_rng(107))
 
 
-def _wide_random(n: int, seed: int):
-    sizes = {name: 8 for name in "ABCDEF"}  # 8^6 = 262 144 cells
-    return random_relation(sizes, n, np.random.default_rng(seed))
-
-
-@pytest.fixture(scope="module")
-def wide_1e4():
-    return _wide_random(10_000, 109)
-
-
-@pytest.fixture(scope="module")
-def wide_1e5():
-    return _wide_random(100_000, 113)
-
-
-# ----------------------------------------------------------------------
-# 1. Strategy comparison (N≈1e4, cold caches per round)
-# ----------------------------------------------------------------------
 @pytest.mark.parametrize("strategy", available_strategies())
 def test_bench_strategy(benchmark, planted_1e4, strategy):
     mined = benchmark(
@@ -115,94 +62,3 @@ def test_bench_strategy(benchmark, planted_1e4, strategy):
     stats = getattr(benchmark, "stats", None)
     if stats is not None:
         _RECORD["strategies_s"][strategy] = stats.stats.mean
-
-
-# ----------------------------------------------------------------------
-# 2. Serial vs multiprocessing split scoring (N=1e4 / 1e5)
-# ----------------------------------------------------------------------
-def _time_backend(relation, scorer_factory, rounds: int = 3) -> tuple[float, list]:
-    """Best-of-``rounds`` wall time for one cold batch scoring.
-
-    A fresh scorer is built (and closed) per round so the
-    multiprocessing backend pays its fork and cold-memo costs every
-    time — reusing one pool would let warm worker caches masquerade as
-    parallel speedup.
-    """
-    context = SearchContext.create(relation)
-    candidates = list(
-        enumerate_split_candidates(context, relation.schema.name_set)
-    )
-    best, scores = float("inf"), None
-    for _ in range(rounds):
-        _cold(relation)
-        engine = EntropyEngine(relation)
-        with scorer_factory() as scorer:
-            start = time.perf_counter()
-            scores = scorer.score_batch(relation, candidates, engine=engine)
-            best = min(best, time.perf_counter() - start)
-    return best, scores
-
-
-@pytest.mark.parametrize(
-    "fixture_name,label",
-    [("wide_1e4", "n=1e4"), ("wide_1e5", "n=1e5")],
-)
-def test_bench_scorer_backends(request, fixture_name, label):
-    relation = request.getfixturevalue(fixture_name)
-    serial_s, serial_scores = _time_backend(relation, SerialSplitScorer)
-    parallel_s, parallel_scores = _time_backend(
-        relation, lambda: MultiprocessSplitScorer(WORKERS, min_batch=1)
-    )
-
-    assert [s.cmi for s in serial_scores] == [s.cmi for s in parallel_scores]
-    _RECORD["scorer"][label] = {
-        "candidates": len(serial_scores),
-        "serial_s": serial_s,
-        "multiprocessing_s": parallel_s,
-        "speedup": serial_s / parallel_s if parallel_s else float("nan"),
-    }
-    print(
-        f"\n[{label}] {len(serial_scores)} candidates: "
-        f"serial {serial_s * 1e3:.1f} ms, "
-        f"mp({WORKERS}) {parallel_s * 1e3:.1f} ms, "
-        f"speedup {serial_s / parallel_s:.2f}x "
-        f"(cpu_count={os.cpu_count()})"
-    )
-
-def test_bench_mine_serial_vs_multiprocessing(wide_1e5):
-    """End-to-end mine at N=1e5: one pool amortized over every batch.
-
-    This is the deployment-shaped comparison: ``mine_jointree`` forks
-    the pool once and reuses it (with persistent worker memos) for all
-    candidate batches of the search.
-    """
-    def run(workers):
-        _cold(wide_1e5)
-        start = time.perf_counter()
-        mined = mine_jointree(wide_1e5, threshold=0.5, workers=workers)
-        return time.perf_counter() - start, mined
-
-    serial_s, serial_mined = min(
-        (run(None) for _ in range(3)), key=lambda r: r[0]
-    )
-    parallel_s, parallel_mined = min(
-        (run(WORKERS) for _ in range(3)), key=lambda r: r[0]
-    )
-    assert parallel_mined.bags == serial_mined.bags
-    assert parallel_mined.j_value == serial_mined.j_value
-    _RECORD["scorer"]["mine_n=1e5"] = {
-        "serial_s": serial_s,
-        "multiprocessing_s": parallel_s,
-        "speedup": serial_s / parallel_s if parallel_s else float("nan"),
-    }
-    print(
-        f"\n[mine n=1e5] serial {serial_s * 1e3:.1f} ms, "
-        f"mp({WORKERS}) {parallel_s * 1e3:.1f} ms, "
-        f"speedup {serial_s / parallel_s:.2f}x (cpu_count={os.cpu_count()})"
-    )
-    # Correctness is asserted above; a speed win additionally requires
-    # real parallel hardware.  On 2-3 cores the fork overhead can eat
-    # the win, so the strict assertion applies only with clear headroom;
-    # the JSON record carries the verdict everywhere else.
-    if (os.cpu_count() or 1) >= 4:
-        assert parallel_s < serial_s

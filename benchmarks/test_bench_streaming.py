@@ -11,9 +11,10 @@ and mine it —
 
 Each probe reports its own peak RSS (``ru_maxrss``) and per-phase wall
 clock, so the two paths' memory high-water marks are independent (a
-single process would only ever report the max of both).  Every run
-appends a record — per-tier numbers plus eager/stream ratios — to
-``BENCH_streaming.json`` at the repo root via ``make bench-streaming``.
+single process would only ever report the max of both).
+``make bench-streaming`` appends a record — per-tier numbers plus
+eager/stream ratios — to ``BENCH_streaming.json`` at the repo root (see
+``bench_record.py``).
 
 The smoke tier (N=1e5) always runs; the full tier (N=1e6, the
 acceptance scenario) is opt-in via ``BENCH_STREAMING_FULL=1`` so plain
@@ -34,8 +35,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bench_record import append_record
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULTS_PATH = REPO_ROOT / "BENCH_streaming.json"
+RESULTS_NAME = "BENCH_streaming.json"
 SRC_PATH = REPO_ROOT / "src"
 
 #: Mining threshold used by both probes: loose enough that the planted
@@ -49,26 +52,12 @@ _RECORD: dict = {
 }
 
 
-def _append_record() -> None:
-    _RECORD["timestamp"] = time.time()
-    history = []
-    if RESULTS_PATH.exists():
-        try:
-            history = json.loads(RESULTS_PATH.read_text())
-        except json.JSONDecodeError:
-            history = []
-    if not isinstance(history, list):
-        history = [history]
-    history.append(_RECORD)
-    RESULTS_PATH.write_text(json.dumps(history, indent=2, sort_keys=True) + "\n")
-
-
 @pytest.fixture(scope="module", autouse=True)
 def _append_results():
     """Accumulate this session's numbers into the bench history file."""
     yield
     if _RECORD["tiers"]:
-        _append_record()
+        append_record(RESULTS_NAME, _RECORD)
 
 
 def write_planted_csv(path: Path, n_rows: int, seed: int) -> None:

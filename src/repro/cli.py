@@ -4,10 +4,9 @@ Installed as ``repro-ajd`` (see pyproject).  Subcommands:
 
 * ``analyze <csv> --schema "A,B;B,C" [--json]`` — full loss analysis of a
   CSV table under a user-supplied acyclic schema;
-* ``mine <csv> [--threshold T] [--strategy S] [--workers N]
-  [--deadline SEC] [--json]`` — discover a low-J acyclic schema with any
-  registered strategy, optionally with parallel split scoring and a
-  wall-clock budget;
+* ``mine <csv> [--threshold T] [--strategy S] [--deadline SEC]
+  [--json]`` — discover a low-J acyclic schema with any registered
+  strategy, optionally within a wall-clock budget;
 * ``decompose <csv> [--strategy S | --schema ...] [--out-dir DIR]`` —
   mine (or take) a schema, materialize the semijoin-reduced bag
   projections, measure the decomposition, and emit a JSON report (plus
@@ -155,7 +154,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         threshold=args.threshold,
         max_separator_size=args.max_separator,
         strategy=args.strategy,
-        workers=args.workers,
         deadline=args.deadline,
         seed=args.seed,
         backend=_resolve_backend(args),
@@ -215,7 +213,6 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
             threshold=args.threshold,
             max_separator_size=args.max_separator,
             strategy=strategy,
-            workers=args.workers,
             deadline=args.deadline,
             seed=args.seed,
             backend=_resolve_backend(args),
@@ -382,7 +379,6 @@ _MINING_DEFAULTS: dict[str, object] = {
     "threshold": 1e-9,
     "max_separator": 2,
     "strategy": "recursive",
-    "workers": None,
     "deadline": None,
     "seed": 0,
     "backend": "exact",
@@ -435,13 +431,6 @@ def _add_mining_options(parser: argparse.ArgumentParser) -> None:
         choices=available_strategies(),
         default=_MINING_DEFAULTS["strategy"],
         help="search strategy (default: recursive, the classic miner)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=_MINING_DEFAULTS["workers"],
-        help="worker processes for split scoring (>1 enables the "
-        "multiprocessing backend; default: serial)",
     )
     parser.add_argument(
         "--deadline",

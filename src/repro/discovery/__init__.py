@@ -4,8 +4,8 @@ Layered since the engine refactor:
 
 * :mod:`repro.discovery.context` — :class:`SearchContext` bundles one
   run's relation, entropy engine, scorer, budgets, deadline, and RNG;
-* :mod:`repro.discovery.scoring` — batched split scoring (serial or
-  multiprocessing with memo-cache merging);
+* :mod:`repro.discovery.scoring` — batched split scoring through the
+  run's entropy memo;
 * :mod:`repro.discovery.strategies` — the pluggable search-mode registry
   (``recursive``, ``beam``, ``greedy-agglomerative``, ``anytime``);
 * :mod:`repro.discovery.miner` — the ``mine_jointree`` front door.
@@ -33,12 +33,7 @@ from repro.discovery.frontier import (
     schema_frontier,
 )
 from repro.discovery.miner import MVDSplit, MinedSchema, best_split, mine_jointree
-from repro.discovery.scoring import (
-    MultiprocessSplitScorer,
-    SerialSplitScorer,
-    SplitScorer,
-    make_scorer,
-)
+from repro.discovery.scoring import SerialSplitScorer
 from repro.discovery.strategies import (
     DiscoveryStrategy,
     available_strategies,
@@ -53,10 +48,8 @@ __all__ = [
     "FrontierPoint",
     "MVDSplit",
     "MinedSchema",
-    "MultiprocessSplitScorer",
     "SearchContext",
     "SerialSplitScorer",
-    "SplitScorer",
     "available_strategies",
     "best_split",
     "binary_partitions",
@@ -66,7 +59,6 @@ __all__ = [
     "get_strategy",
     "greedy_partition",
     "hierarchical_schemas",
-    "make_scorer",
     "mine_exhaustive",
     "mine_jointree",
     "pareto_front",

@@ -77,7 +77,6 @@ def fit_schema_with_budget(
     max_separator_size: int = 2,
     mode: str = "auto",
     strategy: str = "recursive",
-    workers: int | None = None,
     deadline: float | None = None,
 ) -> BudgetFit:
     """Find the best-compressing acyclic schema with ``ρ ≤ rho_budget``.
@@ -93,11 +92,11 @@ def fit_schema_with_budget(
     mode:
         ``"exhaustive"``, ``"greedy"``, or ``"auto"`` (exhaustive when
         the attribute count permits).
-    strategy, workers, deadline:
+    strategy, deadline:
         Forwarded to :func:`repro.discovery.miner.mine_jointree` in
         greedy mode: any registered discovery strategy can drive the
-        budget fit, with optional parallel split scoring and wall-clock
-        budget (ignored in exhaustive mode).
+        budget fit, with an optional wall-clock budget (ignored in
+        exhaustive mode).
 
     Notes
     -----
@@ -126,7 +125,6 @@ def fit_schema_with_budget(
             threshold=j_ceiling,
             max_separator_size=max_separator_size,
             strategy=strategy,
-            workers=workers,
             deadline=deadline,
         )
         if mined.rho <= rho_budget:

@@ -5,7 +5,7 @@ consumes — the relation, its memoizing :class:`~repro.info.engine.EntropyEngin
 the split-scoring backend, the acceptance threshold and search caps, an
 optional wall-clock deadline, and a seeded RNG for randomized strategies.
 Strategies (:mod:`repro.discovery.strategies`) receive a context and
-return bags; they never construct engines, pools, or clocks themselves,
+return bags; they never construct engines, scorers, or clocks themselves,
 so a new strategy is a one-file plug-in.
 
 The context is deliberately dumb: it owns no search logic.  Its only
@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.discovery.scoring import SerialSplitScorer
 from repro.errors import DiscoveryError
 from repro.info.engine import EntropyEngine
 from repro.relations.relation import Relation
@@ -36,10 +37,9 @@ class SearchContext:
         The training relation being decomposed.
     engine:
         The memoizing entropy engine all scoring routes through (one
-        cache per run; the multiprocessing scorer merges worker memos
-        back into it).
+        cache per run).
     scorer:
-        The split-scoring backend (:mod:`repro.discovery.scoring`).
+        The split scorer (:mod:`repro.discovery.scoring`).
     threshold:
         Maximum CMI (nats) an accepted split may incur.
     max_separator_size:
@@ -55,7 +55,7 @@ class SearchContext:
 
     relation: Relation
     engine: EntropyEngine
-    scorer: "object"
+    scorer: SerialSplitScorer
     threshold: float = 1e-9
     max_separator_size: int = 2
     exact_partition_limit: int = 10
@@ -72,8 +72,7 @@ class SearchContext:
         threshold: float = 1e-9,
         max_separator_size: int = 2,
         exact_partition_limit: int = 10,
-        scorer: "object | None" = None,
-        workers: int | None = None,
+        scorer: SerialSplitScorer | None = None,
         deadline_seconds: float | None = None,
         deadline_at: float | None = None,
         seed: int = 0,
@@ -81,7 +80,7 @@ class SearchContext:
     ) -> "SearchContext":
         """Build a context with library defaults.
 
-        ``scorer`` wins over ``workers``; with neither, scoring is serial.
+        ``scorer`` defaults to a fresh :class:`SerialSplitScorer`.
         ``deadline_seconds`` is relative (converted to an absolute
         ``time.monotonic()`` deadline at creation); ``deadline_at`` is an
         absolute ``time.monotonic()`` timestamp, which long-lived callers
@@ -93,8 +92,6 @@ class SearchContext:
         (``"exact"``/``"sketch"``); ``None`` keeps the relation's cached
         engine whatever backend it has.
         """
-        from repro.discovery.scoring import make_scorer
-
         if relation.is_empty():
             raise DiscoveryError("cannot mine a schema from an empty relation")
         if threshold < 0:
@@ -115,7 +112,7 @@ class SearchContext:
         return cls(
             relation=relation,
             engine=EntropyEngine.for_relation(relation, backend=backend),
-            scorer=scorer if scorer is not None else make_scorer(workers=workers),
+            scorer=scorer if scorer is not None else SerialSplitScorer(),
             threshold=threshold,
             max_separator_size=max_separator_size,
             exact_partition_limit=exact_partition_limit,
@@ -132,15 +129,3 @@ class SearchContext:
         if self.deadline is None:
             return float("inf")
         return max(self.deadline - time.monotonic(), 0.0)
-
-    def close(self) -> None:
-        """Release scorer resources (worker pools); idempotent."""
-        close = getattr(self.scorer, "close", None)
-        if close is not None:
-            close()
-
-    def __enter__(self) -> "SearchContext":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

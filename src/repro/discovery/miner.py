@@ -5,11 +5,10 @@ engine refactor, this module is the thin *front door* of a layered
 discovery engine:
 
 * :class:`~repro.discovery.context.SearchContext` bundles the relation,
-  its memoizing entropy engine, the split-scoring backend, budget knobs,
-  a wall-clock deadline, and an RNG;
+  its memoizing entropy engine, the split scorer, budget knobs, a
+  wall-clock deadline, and an RNG;
 * :mod:`repro.discovery.scoring` scores batches of candidate
-  ``(separator, partition)`` splits — serially or sharded across worker
-  processes with memo-cache merging;
+  ``(separator, partition)`` splits through the run's entropy memo;
 * :mod:`repro.discovery.strategies` holds the pluggable search modes:
   ``recursive`` (the default; bit-for-bit the classic top-down miner),
   ``beam``, ``greedy-agglomerative``, and ``anytime``.
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 
 from repro.core.jmeasure import j_measure
 from repro.discovery.context import SearchContext
-from repro.discovery.scoring import MVDSplit, SplitScorer, make_scorer
+from repro.discovery.scoring import MVDSplit, SerialSplitScorer
 from repro.discovery.strategies import get_strategy
 from repro.discovery.strategies.base import best_split_in_context, maximal_bags
 from repro.errors import DiscoveryError
@@ -90,7 +89,7 @@ def best_split(
     context = SearchContext(
         relation=relation,
         engine=engine,
-        scorer=make_scorer(),
+        scorer=SerialSplitScorer(),
         max_separator_size=max_separator_size,
         exact_partition_limit=exact_partition_limit,
     )
@@ -105,8 +104,7 @@ def mine_jointree(
     exact_partition_limit: int = 10,
     compute_loss: bool = True,
     strategy: str = "recursive",
-    workers: int | None = None,
-    scorer: SplitScorer | None = None,
+    scorer: SerialSplitScorer | None = None,
     deadline: float | None = None,
     deadline_at: float | None = None,
     seed: int = 0,
@@ -133,12 +131,10 @@ def mine_jointree(
         Registered search mode (see
         :func:`repro.discovery.strategies.available_strategies`);
         ``"recursive"`` reproduces the classic miner bit-for-bit.
-    workers:
-        Worker-process count for split scoring; > 1 shards candidate
-        batches across a ``multiprocessing`` pool and merges the memo
-        caches back.  Default: serial.
     scorer:
-        Explicit scoring backend (overrides ``workers``).
+        Split scorer to score candidate batches with (default: a fresh
+        :class:`~repro.discovery.scoring.SerialSplitScorer`); pass a
+        subclass to observe the batches a search scores.
     deadline:
         Wall-clock budget in seconds; deadline-aware strategies
         (``anytime``, and all strategies' refinement loops) return their
@@ -171,20 +167,12 @@ def mine_jointree(
         max_separator_size=max_separator_size,
         exact_partition_limit=exact_partition_limit,
         scorer=scorer,
-        workers=workers,
         deadline_seconds=deadline,
         deadline_at=deadline_at,
         seed=seed,
         backend=backend,
     )
-    search = get_strategy(strategy)
-    try:
-        outcome = search.search(context)
-    finally:
-        # Only close pools the miner itself created; caller-supplied
-        # scorers stay open for reuse across calls.
-        if scorer is None:
-            context.close()
+    outcome = get_strategy(strategy).search(context)
     return finalize_outcome(context, outcome, compute_loss=compute_loss)
 
 

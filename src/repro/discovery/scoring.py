@@ -1,36 +1,25 @@
-"""Split scoring: batched CMI evaluation behind a backend interface.
+"""Split scoring: batched CMI evaluation.
 
 Every discovery strategy reduces to the same inner question — *given a
 batch of candidate splits ``X ↠ Y|Z``, what is each one's conditional
-mutual information ``I(Y; Z | X)``?*  This module isolates that question
-behind :class:`SplitScorer` so strategies stay backend-agnostic:
-
-* :class:`SerialSplitScorer` — scores in-process through the relation's
-  shared memoizing :class:`~repro.info.engine.EntropyEngine`;
-* :class:`MultiprocessSplitScorer` — shards a candidate batch across a
-  persistent ``multiprocessing`` worker pool (fork start method).  Each
-  worker keeps its own entropy memo alive across batches and ships the
-  *new* cache entries back with its scores; the parent merges them into
-  the run's engine, so post-search bookkeeping (J-measure, ρ) is warm.
-
-Both backends produce bit-identical scores: the CMI of a candidate is
-computed by the same four-entropy formula over the same columnar counts,
-whichever process runs it.
+mutual information ``I(Y; Z | X)``?*  :class:`SerialSplitScorer` answers
+it in-process through the run's shared memoizing
+:class:`~repro.info.engine.EntropyEngine`, so overlapping candidates'
+four-entropy expansions are each computed once.  Strategies reach it
+only through ``context.scorer``, so a caller may pass a subclass (for
+example one that counts or times the batches) to :func:`mine_jointree`.
 
 A *candidate* is a ``(separator, left, right)`` triple of attribute
 frozensets; a scored candidate is an :class:`MVDSplit`.  Candidate order
 is preserved, so deterministic tie-breaking (:func:`prefer_split`) is
-backend-independent.
+well defined.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.errors import DiscoveryError
 from repro.info.engine import EntropyEngine
 from repro.relations.relation import Relation
 
@@ -69,26 +58,8 @@ def prefer_split(candidate: MVDSplit, incumbent: MVDSplit) -> bool:
     return rank_key(candidate) < rank_key(incumbent)
 
 
-def _score_with_engine(
-    engine: EntropyEngine, candidates: Sequence[SplitCandidate]
-) -> list[float]:
-    """CMI of each candidate via the four-entropy formula, in order."""
-    return [
-        engine.cmi(left, right, separator)
-        for separator, left, right in candidates
-    ]
-
-
-class SplitScorer:
-    """Backend interface: score batches of candidate splits.
-
-    Subclasses implement :meth:`score_batch`; :meth:`close` releases any
-    held resources (worker pools) and is idempotent.  Scorers are context
-    managers.
-    """
-
-    #: Registry name of the backend (used by :func:`make_scorer` and the CLI).
-    name = "abstract"
+class SerialSplitScorer:
+    """In-process scoring through the relation's shared entropy memo."""
 
     def score_batch(
         self,
@@ -98,211 +69,9 @@ class SplitScorer:
         engine: EntropyEngine | None = None,
     ) -> list[MVDSplit]:
         """Score ``candidates`` against ``relation``, preserving order."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release backend resources; safe to call repeatedly."""
-
-    def __enter__(self) -> "SplitScorer":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-class SerialSplitScorer(SplitScorer):
-    """In-process scoring through the relation's shared entropy memo."""
-
-    name = "serial"
-
-    def score_batch(
-        self,
-        relation: Relation,
-        candidates: Sequence[SplitCandidate],
-        *,
-        engine: EntropyEngine | None = None,
-    ) -> list[MVDSplit]:
         if engine is None:
             engine = EntropyEngine.for_relation(relation)
-        scores = _score_with_engine(engine, candidates)
         return [
-            MVDSplit(separator, left, right, cmi)
-            for (separator, left, right), cmi in zip(candidates, scores)
+            MVDSplit(separator, left, right, engine.cmi(left, right, separator))
+            for separator, left, right in candidates
         ]
-
-
-# ----------------------------------------------------------------------
-# Multiprocessing backend
-# ----------------------------------------------------------------------
-# Workers are forked with the relation (and its already-built columnar
-# store) in memory; each worker holds one persistent EntropyEngine whose
-# memo survives across batches of the same search.  Tasks are chunks of
-# candidate triples; results are (scores, new-cache-entries) pairs.
-_WORKER_ENGINE: EntropyEngine | None = None
-
-
-def _init_worker(relation: Relation, backend: "object | None") -> None:
-    global _WORKER_ENGINE
-    # for_relation with backend=None: the fork inherited the parent's
-    # exact engine (and warm memo) on relation._engine; reuse it instead
-    # of starting cold.  A non-default backend (sketch runs) gets its own
-    # per-worker engine so worker scores use the same estimator the
-    # parent merges into — exact and sketch entropies must never mix.
-    _WORKER_ENGINE = EntropyEngine.for_relation(relation, backend=backend)
-
-
-def _score_chunk(
-    candidates: Sequence[SplitCandidate],
-) -> tuple[list[float], dict[tuple[str, ...], float]]:
-    engine = _WORKER_ENGINE
-    assert engine is not None, "worker pool not initialized"
-    mark = engine.cache_size()
-    scores = _score_with_engine(engine, candidates)
-    return scores, engine.cache_entries_since(mark)
-
-
-class MultiprocessSplitScorer(SplitScorer):
-    """Shard candidate batches across a persistent fork-based worker pool.
-
-    Parameters
-    ----------
-    workers:
-        Worker process count (defaults to the CPU count).
-    min_batch:
-        Batches smaller than this are scored serially — pickling and IPC
-        dominate below it.
-
-    Notes
-    -----
-    * The pool is created lazily on the first batch and rebuilt if a
-      different relation instance arrives; :meth:`close` terminates it.
-    * The relation's columnar store is materialized *before* forking so
-      every worker inherits the built code columns for free.
-    * Platforms without the ``fork`` start method (or sandboxes where
-      process creation fails) degrade to serial scoring transparently.
-    """
-
-    name = "multiprocessing"
-
-    def __init__(self, workers: int | None = None, *, min_batch: int = 8) -> None:
-        if workers is not None and workers < 1:
-            raise DiscoveryError(f"worker count must be >= 1, got {workers}")
-        self._workers = workers
-        self._min_batch = min_batch
-        self._pool: multiprocessing.pool.Pool | None = None
-        self._pool_relation: Relation | None = None
-        self._pool_backend: object | None = None
-        self._serial = SerialSplitScorer()
-        self._degraded = False
-
-    @property
-    def workers(self) -> int:
-        """The resolved worker count."""
-        return self._workers if self._workers is not None else os.cpu_count() or 1
-
-    def _ensure_pool(
-        self, relation: Relation, backend: "object | None"
-    ) -> "multiprocessing.pool.Pool | None":
-        if self._degraded:
-            return None
-        if (
-            self._pool is not None
-            and self._pool_relation is relation
-            and self._pool_backend is backend
-        ):
-            return self._pool
-        self.close()
-        if "fork" not in multiprocessing.get_all_start_methods():
-            self._degraded = True
-            return None
-        relation.columns()  # build the store once; workers inherit it
-        try:
-            self._pool = multiprocessing.get_context("fork").Pool(
-                processes=self.workers,
-                initializer=_init_worker,
-                initargs=(relation, backend),
-            )
-        except OSError:
-            self._degraded = True
-            return None
-        self._pool_relation = relation
-        self._pool_backend = backend
-        return self._pool
-
-    def score_batch(
-        self,
-        relation: Relation,
-        candidates: Sequence[SplitCandidate],
-        *,
-        engine: EntropyEngine | None = None,
-    ) -> list[MVDSplit]:
-        candidates = list(candidates)
-        if engine is None:
-            engine = EntropyEngine.for_relation(relation)
-        if self.workers <= 1 or len(candidates) < self._min_batch:
-            return self._serial.score_batch(relation, candidates, engine=engine)
-        # Workers must score with the run's backend: None (the inherited
-        # cached exact engine) for exact runs, the backend instance itself
-        # for non-default (sketch) runs.
-        backend = None if engine.backend.name == "exact" else engine.backend
-        pool = self._ensure_pool(relation, backend)
-        if pool is None:
-            return self._serial.score_batch(relation, candidates, engine=engine)
-        shards = max(1, min(self.workers * 4, len(candidates) // 2))
-        size = -(-len(candidates) // shards)  # ceil division
-        chunks = [
-            candidates[start : start + size]
-            for start in range(0, len(candidates), size)
-        ]
-        try:
-            results = pool.map(_score_chunk, chunks)
-        except Exception:
-            # A worker died mid-batch (e.g. platforms where fork is
-            # listed but unsafe): drop to serial for the rest of the run.
-            self.close()
-            self._degraded = True
-            return self._serial.score_batch(relation, candidates, engine=engine)
-        scores: list[float] = []
-        for chunk_scores, delta in results:
-            scores.extend(chunk_scores)
-            engine.merge_cache(delta)
-        return [
-            MVDSplit(separator, left, right, cmi)
-            for (separator, left, right), cmi in zip(candidates, scores)
-        ]
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-            self._pool_relation = None
-            self._pool_backend = None
-
-
-def make_scorer(
-    spec: "str | SplitScorer | None" = None, *, workers: int | None = None
-) -> SplitScorer:
-    """Resolve a scorer from a name, an instance, or a worker count.
-
-    ``spec`` may be a :class:`SplitScorer` instance (returned as-is), a
-    backend name (``"serial"`` / ``"multiprocessing"``), or ``None`` —
-    in which case ``workers`` decides: ``workers`` > 1 selects the
-    multiprocessing backend, anything else the serial one.
-    """
-    if workers is not None and workers < 1:
-        raise DiscoveryError(f"worker count must be >= 1, got {workers}")
-    if isinstance(spec, SplitScorer):
-        return spec
-    if spec is None:
-        if workers is not None and workers > 1:
-            return MultiprocessSplitScorer(workers)
-        return SerialSplitScorer()
-    if spec == SerialSplitScorer.name:
-        return SerialSplitScorer()
-    if spec == MultiprocessSplitScorer.name:
-        return MultiprocessSplitScorer(workers)
-    raise DiscoveryError(
-        f"unknown scorer backend {spec!r}; "
-        f"known: {SerialSplitScorer.name}, {MultiprocessSplitScorer.name}"
-    )

@@ -8,11 +8,11 @@ attribute set of each frontier state into (a) the "close as one bag"
 child and (b) a child per top-ranked within-threshold split, then prunes
 the frontier back to ``width`` states by accumulated CMI.
 
-All candidate scoring is batched through the context's scorer, so the
-beam parallelizes across workers exactly like the other strategies.
-Acyclicity is enforced on the *whole* partial schema at every accepted
-split (stronger than the recursive strategy's subtree-local check), so
-every completed state is a valid acyclic schema.
+All candidate scoring is batched through the context's scorer and its
+shared entropy memo, exactly like the other strategies.  Acyclicity is
+enforced on the *whole* partial schema at every accepted split (stronger
+than the recursive strategy's subtree-local check), so every completed
+state is a valid acyclic schema.
 """
 
 from __future__ import annotations

@@ -47,12 +47,11 @@ def run_recovery(
     threshold: float = 0.25,
     seed: int = 23,
     strategy: str = "recursive",
-    workers: int | None = None,
 ) -> list[RecoveryRow]:
     """E8a: plant ``C ↠ A|B``, add noise, mine, compare.
 
-    ``strategy`` and ``workers`` select the discovery engine's search
-    mode and scoring backend (defaults reproduce the pinned numbers).
+    ``strategy`` selects the discovery engine's search mode (the default
+    reproduces the pinned numbers).
     """
     rng = np.random.default_rng(seed)
     planted_tree = jointree_from_schema([{"A", "C"}, {"B", "C"}])
@@ -61,9 +60,7 @@ def run_recovery(
     for rate in noise_rates:
         base = planted_mvd_relation(10, 10, 5, rng)
         noisy = perturb(base, rng, insert_rate=rate)
-        mined = mine_jointree(
-            noisy, threshold=threshold, strategy=strategy, workers=workers
-        )
+        mined = mine_jointree(noisy, threshold=threshold, strategy=strategy)
         # One evaluation context per instance: the planted-schema J and ρ
         # reuse the entropies the mining run already memoized.
         context = EvalContext.for_relation(noisy)

@@ -195,7 +195,6 @@ def discover_and_decompose(
     strategy: str = "recursive",
     threshold: float = 1e-9,
     max_separator_size: int = 2,
-    workers: int | None = None,
     deadline: float | None = None,
     deadline_at: float | None = None,
     seed: int = 0,
@@ -221,7 +220,6 @@ def discover_and_decompose(
         threshold=threshold,
         max_separator_size=max_separator_size,
         strategy=strategy,
-        workers=workers,
         deadline=deadline,
         deadline_at=deadline_at,
         seed=seed,

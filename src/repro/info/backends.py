@@ -21,11 +21,9 @@ split's join size with a streaming per-separator distinct counter
 estimate ``|Π_L|·|Π_R|/|Π_S|``) and combines splits with the paper's
 Proposition 5.1 product form.
 
-Sketch states are mergeable (:meth:`EntropySketch.merge`), mirroring the
-``EntropyEngine.cache_snapshot`` / ``merge_cache`` pattern of the
-parallel split scorer: per-chunk partial states can be built
-independently (e.g. by future shard workers) and folded together, and
-the result is identical to one sequential pass — pinned by
+Sketch states are mergeable (:meth:`EntropySketch.merge`): per-chunk
+partial states can be built independently and folded together, and the
+result is identical to one sequential pass — pinned by
 ``tests/test_backends.py``.
 
 While every queried subset stays within the sketch capacity the sketch

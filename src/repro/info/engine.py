@@ -31,7 +31,6 @@ Miller–Madow-corrected estimates.  The memo layer is backend-agnostic.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterable
 
@@ -153,30 +152,22 @@ class EntropyEngine:
     def cache_snapshot(self) -> dict[tuple[str, ...], float]:
         """A shallow copy of the memo: canonical subset key → ``H`` (nats).
 
-        Used by the parallel split scorer to ship a worker's newly
-        computed entropies back to the parent process.
+        Used to spill the memo beside a snapshot
+        (:func:`repro.relations.persist.save_engine_memo`) and by cluster
+        workers to diff out the entropies a job computed (the memo delta
+        shipped back to the front end).
         """
         return dict(self._cache)
-
-    def cache_entries_since(self, mark: int) -> dict[tuple[str, ...], float]:
-        """Entries added after the first ``mark`` insertions.
-
-        The memo only ever grows, so ``mark = cache_size()`` taken before
-        a unit of work identifies exactly that work's new entries (dicts
-        preserve insertion order) without copying the whole cache.
-        """
-        if mark <= 0:
-            return dict(self._cache)
-        return dict(itertools.islice(self._cache.items(), mark, None))
 
     def merge_cache(self, entries: dict[tuple[str, ...], float]) -> int:
         """Adopt precomputed entropies (canonical keys, nats).
 
         Entries already memoized locally are kept (both sides compute the
         same value for the same key, so precedence is irrelevant).
-        Returns the number of newly added entries.  This is how the
-        multiprocessing scorer folds per-worker memos into the run's
-        shared engine.
+        Returns the number of newly added entries.  This is the last step
+        of the cluster memo fold: the memo deltas workers ship back are
+        merged into the snapshot's memo sidecar, and a process hydrating
+        that snapshot adopts the sidecar here.
         """
         added = 0
         cache = self._cache

@@ -533,7 +533,6 @@ class ClusterSupervisor:
         params: dict,
         *,
         deadline_at: float | None = None,
-        workers: int | None = None,
         trace: str | None = None,
         timings: StageTimings | None = None,
     ) -> dict:
@@ -576,7 +575,6 @@ class ClusterSupervisor:
             "fingerprint": fingerprint,
             "operation": operation,
             "params": params,
-            "workers": workers,
             "deadline_in_s": (
                 None
                 if deadline_at is None
@@ -978,7 +976,6 @@ class _WorkerRuntime:
                 message["operation"],
                 message["params"],
                 deadline_at=deadline_at,
-                workers=message.get("workers"),
                 faults=self._faults,
                 timings=timings,
             )

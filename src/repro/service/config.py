@@ -26,9 +26,8 @@ class ServiceConfig:
         Bind address.  ``port=0`` asks the OS for an ephemeral port
         (read it back from ``Service.port`` after ``start()``).
     workers:
-        Job-worker threads.  Each worker runs one job at a time; mining
-        jobs may additionally request fork-pool split scoring via their
-        ``workers`` param, which runs *inside* the job worker.
+        Job-worker threads.  Each worker runs one job at a time;
+        process-level parallelism is ``worker_procs``.
     memory_budget_bytes:
         Resident-dataset budget for the registry's LRU eviction, or
         ``None`` for unbounded.  Evicted datasets keep their metadata and

@@ -16,7 +16,7 @@ transport between them:
   ``hello``   w → f      worker announces ``worker_id`` + ``pid`` + the
                          shared-secret token it was spawned with
   ``req``     f → w      run one operation: ``id``, ``fingerprint``,
-                         ``operation``, canonical ``params``, ``workers``,
+                         ``operation``, canonical ``params``,
                          ``deadline_in_s`` (remaining budget — absolute
                          monotonic times do not cross processes), the
                          hydration references ``snapshot_dir`` / ``source``
@@ -34,12 +34,12 @@ transport between them:
   ``pong``    w → f      heartbeat answer; carries the worker's resident
                          fingerprints, lifetime job count, and metric
                          snapshot
-
-Unknown fields and frame types are ignored on both sides (forward
-compatibility): a PR-9-era worker simply never echoes ``trace`` or
-``metrics``, and the front end degrades to traceless dispatch.
   ``bye``     f → w      orderly shutdown request
   ==========  =========  ==================================================
+
+  Unknown fields and frame types are ignored on both sides (forward
+  compatibility): an older worker simply never echoes ``trace`` or
+  ``metrics``, and the front end degrades to traceless dispatch.
 
 * **Request ids** — the front end numbers requests from one shared
   counter; responses are matched back to waiters by id, so one socket

@@ -15,13 +15,12 @@ where all the amortization happens, in order:
    raises :class:`~repro.errors.QueueFullError` (HTTP 503).
 
 Workers are threads (the compute is numpy-heavy, releasing the GIL in
-the hot group-by/bincount kernels; mining jobs may additionally request
-the fork-based split-scoring pool via their ``workers`` param, which
-runs inside the worker thread).  Each job's optional ``deadline``
-becomes an absolute timestamp at submission: a job that *starts* past
-its deadline is failed as ``timeout`` without computing, and one that
-starts in time hands the remaining budget to the search context
-(:meth:`~repro.discovery.context.SearchContext.create` via
+the hot group-by/bincount kernels; process-level parallelism is the
+cluster's job, see :mod:`repro.service.cluster`).  Each job's optional
+``deadline`` becomes an absolute timestamp at submission: a job that
+*starts* past its deadline is failed as ``timeout`` without computing,
+and one that starts in time hands the remaining budget to the search
+context (:meth:`~repro.discovery.context.SearchContext.create` via
 ``deadline_at``), so an expiring search returns its best-so-far schema
 with ``partial: true``.  Timed-out, partial, and degraded results are
 **never cached** — a retry with a larger budget must recompute.
@@ -170,7 +169,6 @@ class Job:
         "timings",
         "trace_id",
         "worker_slot",
-        "workers",
     )
 
     def __init__(
@@ -182,7 +180,6 @@ class Job:
         cache_key: str,
         *,
         deadline_s: float | None,
-        workers: int | None,
         trace_id: str | None = None,
     ) -> None:
         self.id = job_id
@@ -195,7 +192,6 @@ class Job:
         self.deadline_at = (
             time.monotonic() + deadline_s if deadline_s is not None else None
         )
-        self.workers = workers
         self.state = QUEUED
         self.submitted_at = time.monotonic()
         self.started_at: float | None = None
@@ -321,7 +317,7 @@ class BatchJob(Job):
     ) -> None:
         super().__init__(
             job_id, fingerprint, "batch", {}, "",
-            deadline_s=None, workers=None, trace_id=trace_id,
+            deadline_s=None, trace_id=trace_id,
         )
         self.items = items
 
@@ -585,11 +581,6 @@ class JobQueue:
                     self._c_idempotent.inc()
                     return replayed
         params = dict(params or {})
-        workers = params.pop("workers", None)
-        if workers is not None and (
-            isinstance(workers, bool) or not isinstance(workers, int) or workers < 1
-        ):
-            raise ServiceError(f"workers must be a positive integer, got {workers!r}")
         deadline_s = params.pop("deadline", None)
         if deadline_s is not None:
             if isinstance(deadline_s, bool) or not isinstance(
@@ -622,7 +613,7 @@ class JobQueue:
         if cached is not None:
             job = self._new_job(
                 fingerprint, operation, canonical, key,
-                deadline_s=deadline_s, workers=workers, trace_id=trace_id,
+                deadline_s=deadline_s, trace_id=trace_id,
             )
             job.cached = True
             job.result = cached
@@ -664,7 +655,7 @@ class JobQueue:
                 raise ServiceError("job queue is shut down")
             job = self._new_job(
                 fingerprint, operation, canonical, key,
-                deadline_s=deadline_s, workers=workers, trace_id=trace_id,
+                deadline_s=deadline_s, trace_id=trace_id,
             )
             # Enqueue while still holding the lock (put_nowait cannot
             # block): nobody can coalesce onto a job that backpressure
@@ -695,7 +686,7 @@ class JobQueue:
 
         ``operations`` is a list of ``{"operation": ..., "params": ...}``
         objects (``params`` optional).  Items are deadline-free and may
-        not carry execution-only params (``workers``/``deadline``).
+        not carry a ``deadline``.
         Items already in the result cache are answered at submission;
         a batch whose items are *all* cached is born ``done`` without
         touching a worker.  Otherwise the batch enqueues as a single
@@ -758,12 +749,11 @@ class JobQueue:
                     f"{operation!r}"
                 )
             params = dict(params) if params else {}
-            for execution_only in ("workers", "deadline"):
-                if execution_only in params:
-                    raise ServiceError(
-                        f"operations[{index}]: {execution_only!r} is not "
-                        "supported inside a batch; submit a singleton job"
-                    )
+            if "deadline" in params:
+                raise ServiceError(
+                    f"operations[{index}]: 'deadline' is not supported "
+                    "inside a batch; submit a singleton job"
+                )
             canonical = canonicalize_params(operation, params)
             items.append(
                 BatchItem(
@@ -852,14 +842,13 @@ class JobQueue:
         key: str,
         *,
         deadline_s: float | None,
-        workers: int | None,
         trace_id: str | None = None,
     ) -> Job:
         with self._lock:
             job_id = f"job-{next(self._ids)}"
             job = Job(
                 job_id, fingerprint, operation, canonical, key,
-                deadline_s=deadline_s, workers=workers, trace_id=trace_id,
+                deadline_s=deadline_s, trace_id=trace_id,
             )
             self._jobs[job_id] = job
             return job
@@ -1113,7 +1102,6 @@ class JobQueue:
         canonical: dict,
         *,
         deadline_at: float | None,
-        workers: int | None,
         trace: str | None = None,
         timings=None,
     ) -> dict:
@@ -1132,7 +1120,6 @@ class JobQueue:
                 operation,
                 canonical,
                 deadline_at=deadline_at,
-                workers=workers,
                 trace=trace,
                 timings=timings,
             )
@@ -1142,7 +1129,6 @@ class JobQueue:
             operation,
             canonical,
             deadline_at=deadline_at,
-            workers=workers,
             faults=self._faults,
             timings=timings,
         )
@@ -1173,7 +1159,6 @@ class JobQueue:
                 job.operation,
                 job.canonical_params,
                 deadline_at=job.deadline_at,
-                workers=job.workers,
                 trace=job.trace_id,
                 timings=timings,
             )
@@ -1308,7 +1293,6 @@ class JobQueue:
                         item.operation,
                         item.canonical_params,
                         deadline_at=None,
-                        workers=None,
                         faults=self._faults,
                         timings=timings,
                     )
@@ -1318,7 +1302,6 @@ class JobQueue:
                         item.operation,
                         item.canonical_params,
                         deadline_at=None,
-                        workers=None,
                         trace=job.trace_id,
                         timings=timings,
                     )

@@ -7,9 +7,10 @@ shared schema (:func:`repro.factorize.report.validate_report`) and can
 be consumed by the same tooling.
 
 ``canonicalize_params`` is what makes the result cache effective: it
-fills every omitted knob with its default, rejects unknown keys, and
-drops execution-only knobs (``workers``) that cannot change the result,
-so all spellings of the same computation share one cache key.
+fills every omitted knob with its default, rejects unknown keys, drops
+the execution-only ``deadline``, and rewrites ``schema`` into one
+canonical text, so all spellings of the same computation share one
+cache key.
 """
 
 from __future__ import annotations
@@ -51,13 +52,12 @@ _PARAM_DEFAULTS: dict[str, dict[str, object]] = {
     "decompose": {**_COMMON_DEFAULTS, **_MINING_DEFAULTS, "schema": None},
 }
 
-#: Accepted but excluded from the cache key.  ``workers`` (process
-#: sharding) cannot change the mined result, only its speed.
-#: ``deadline`` *can* change the result — but deadline-affected
-#: (partial/timeout) outcomes are never cached, so every *cached*
-#: report is deadline-independent and may be shared across deadline
-#: spellings; the job layer handles both (see ``JobQueue.submit``).
-_EXECUTION_ONLY = ("workers", "deadline")
+#: Accepted but excluded from the cache key.  ``deadline`` *can* change
+#: the result — but deadline-affected (partial/timeout) outcomes are
+#: never cached, so every *cached* report is deadline-independent and
+#: may be shared across deadline spellings; the job layer handles it
+#: (see ``JobQueue.submit``).
+_EXECUTION_ONLY = ("deadline",)
 
 
 def parse_schema_text(text: str) -> list[set[str]]:
@@ -70,10 +70,12 @@ def parse_schema_text(text: str) -> list[set[str]]:
 def canonicalize_params(operation: str, params: dict | None) -> dict:
     """Normalize job parameters into their canonical, cache-keyable form.
 
-    Fills defaults, validates names/types/choices, and sorts nothing —
-    the cache serializes with ``sort_keys`` — but does *not* include
-    execution-only knobs.  Raises :class:`~repro.errors.ServiceError`
-    on anything malformed, which the HTTP layer maps to a 400.
+    Fills defaults, validates names/types/choices, and rewrites
+    ``schema`` as its canonical text (``"B,A;C,B"`` becomes
+    ``"A,B;B,C"``); key order is left to the cache, which serializes
+    with ``sort_keys``.  Execution-only knobs are not included.  Raises
+    :class:`~repro.errors.ServiceError` on anything malformed, which the
+    HTTP layer maps to a 400.
     """
     if operation not in OPERATIONS:
         raise ServiceError(
@@ -144,9 +146,14 @@ def canonicalize_params(operation: str, params: dict | None) -> dict:
                 f"{canonical['schema']!r}"
             )
         try:
-            parse_schema_text(canonical["schema"])  # fail fast on garbage
+            bags = parse_schema_text(canonical["schema"])
         except Exception as exc:
             raise ServiceError(f"bad schema parameter: {exc}") from exc
+        # Key on the bag set, not its spelling: sorted attributes within
+        # each bag, then the sorted distinct bags.
+        canonical["schema"] = ";".join(
+            ",".join(bag) for bag in sorted({tuple(sorted(bag)) for bag in bags})
+        )
     if operation == "analyze" and canonical["schema"] is None:
         raise ServiceError("analyze requires a 'schema' parameter")
     if operation == "decompose" and canonical["schema"] is not None:
@@ -170,7 +177,6 @@ def _mine_with_fallback(
     canonical: dict,
     backend,
     *,
-    workers: int | None,
     deadline_at: float | None,
     faults: FaultPlan,
 ):
@@ -191,7 +197,6 @@ def _mine_with_fallback(
                 threshold=canonical["threshold"],
                 max_separator_size=canonical["max_separator"],
                 strategy=canonical["strategy"],
-                workers=workers,
                 deadline_at=deadline_at,
                 seed=canonical["seed"],
                 backend=backend,
@@ -216,7 +221,6 @@ def _mine_with_fallback(
             threshold=canonical["threshold"],
             max_separator_size=canonical["max_separator"],
             strategy=canonical["strategy"],
-            workers=workers,
             deadline_at=deadline_at,
             seed=canonical["seed"],
             backend=fallback,
@@ -235,7 +239,6 @@ def run_operation(
     canonical: dict,
     *,
     deadline_at: float | None = None,
-    workers: int | None = None,
     faults: FaultPlan | None = None,
     timings=None,
 ) -> dict:
@@ -244,8 +247,7 @@ def run_operation(
     ``deadline_at`` (absolute ``time.monotonic()``) bounds the mining
     search via the context plumbing; when mining runs out of time the
     payload is marked ``"partial": true`` (and the job layer withholds
-    it from the cache).  ``workers`` requests fork-pool split scoring
-    inside this worker.  ``faults`` threads the chaos harness through
+    it from the cache).  ``faults`` threads the chaos harness through
     the compute path (``jobs.oom``); an exact mine that runs out of
     memory degrades to the sketch backend and the payload is marked
     ``"degraded": true`` (also withheld from the cache).  ``timings``
@@ -268,7 +270,6 @@ def run_operation(
                 relation,
                 canonical,
                 backend,
-                workers=workers,
                 deadline_at=deadline_at,
                 faults=faults,
             )
@@ -320,7 +321,6 @@ def run_operation(
                     relation,
                     canonical,
                     backend,
-                    workers=workers,
                     deadline_at=deadline_at,
                     faults=faults,
                 )

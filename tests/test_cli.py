@@ -115,10 +115,12 @@ class TestMineCommand:
             main(["mine", str(table_csv), "--strategy", "quantum"])
         assert excinfo.value.code == 2
 
-    def test_workers_flag(self, table_csv, capsys):
-        code = main(["mine", str(table_csv), "--workers", "2"])
-        assert code == 0
-        assert "mined schema" in capsys.readouterr().out
+    def test_workers_flag_rejected(self, table_csv, capsys):
+        # Split scoring is serial; process parallelism is serve --worker-procs.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["mine", str(table_csv), "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_deadline_flag(self, table_csv, capsys):
         # A generous deadline changes nothing on a tiny table.
@@ -315,13 +317,13 @@ class TestDecomposeCommand:
                     "A,C;B,C",
                     "--strategy",
                     "beam",
-                    "--workers",
+                    "--seed",
                     "4",
                 ]
             )
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "--strategy" in err and "--workers" in err
+        assert "--strategy" in err and "--seed" in err
 
 
 class TestStreamingAndBackendFlags:

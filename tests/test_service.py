@@ -201,11 +201,28 @@ class TestResultCache:
 
 
 class TestCanonicalizeParams:
-    def test_defaults_filled_and_workers_dropped(self):
-        canonical = canonicalize_params("mine", {"workers": 4})
+    def test_defaults_filled(self):
+        canonical = canonicalize_params("mine", {})
         assert canonical["strategy"] == "recursive"
         assert canonical["threshold"] == 1e-9
-        assert "workers" not in canonical
+
+    def test_schema_spellings_share_one_key(self):
+        spellings = ["B,A;B,C", "A,B;C,B", " A , B ; B,C", "B,C;A,B;A,B"]
+        canonical = [
+            canonicalize_params("analyze", {"schema": text}) for text in spellings
+        ]
+        assert {c["schema"] for c in canonical} == {"A,B;B,C"}
+        assert len({canonical_key("fp", "analyze", c) for c in canonical}) == 1
+
+    def test_distinct_bag_sets_keep_distinct_keys(self):
+        schemas = ["A,B;B,C", "A,C;B,C", "A,B;A,C", "A,B,C"]
+        keys = {
+            canonical_key(
+                "fp", "analyze", canonicalize_params("analyze", {"schema": text})
+            )
+            for text in schemas
+        }
+        assert len(keys) == len(schemas)
 
     def test_spellings_collapse_to_one_key(self):
         sparse = canonicalize_params("mine", None)
@@ -228,7 +245,7 @@ class TestCanonicalizeParams:
 
     def test_decompose_schema_resets_mining_knobs(self):
         with_schema = canonicalize_params(
-            "decompose", {"schema": "A,C;B,C", "strategy": "beam", "seed": 7}
+            "decompose", {"schema": "C,B;A,C", "strategy": "beam", "seed": 7}
         )
         bare = canonicalize_params("decompose", {"schema": "A,C;B,C"})
         assert with_schema == bare
@@ -309,6 +326,20 @@ class TestJobQueue:
             clean = dict(again.result)
             clean.pop("cached")
             assert clean == job.result  # bit-identical to the cold report
+            assert cache.stats()["hits"] == 1
+        finally:
+            jobs.shutdown()
+
+    def test_schema_respelling_is_a_cache_hit(self, tmp_path):
+        _, cache, jobs, fp = self.queue_for(tmp_path, workers=1)
+        try:
+            job = jobs.submit(fp, "analyze", {"schema": "C,A;C,B"})
+            assert job.wait(10)
+            assert job.state == DONE and not job.cached
+            assert job.canonical_params["schema"] == "A,C;B,C"
+
+            again = jobs.submit(fp, "analyze", {"schema": " B , C ; A,C"})
+            assert again.state == DONE and again.cached
             assert cache.stats()["hits"] == 1
         finally:
             jobs.shutdown()

@@ -107,6 +107,25 @@ class TestDatasetEndpoints:
             client._request("GET", "/frobnicate")
         assert excinfo.value.status == 404
 
+    def test_workers_job_param_is_bad_request(self, client, service, tmp_path):
+        fp = client.register_dataset(path=str(make_csv(tmp_path)))["fingerprint"]
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{service.port}/v1/jobs",
+            data=json.dumps(
+                {"fingerprint": fp, "operation": "mine", "params": {"workers": 2}}
+            ).encode(),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request)
+        assert excinfo.value.code == 400
+        envelope = json.loads(excinfo.value.read())["error"]
+        assert envelope["code"] == "bad_request"
+        assert envelope["retryable"] is False
+        assert "unknown parameter" in envelope["message"]
+        assert "workers" in envelope["message"]
+
 
 class TestJobEndpoints:
     def test_mine_decompose_analyze_end_to_end(self, client, tmp_path):
