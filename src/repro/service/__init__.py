@@ -12,7 +12,10 @@ service that amortizes work across requests:
   an optional on-disk spill so restarts stay warm;
 * :class:`~repro.service.jobs.JobQueue` — a thread worker pool with job
   states, per-job deadlines mapped onto search budgets, request
-  coalescing, and backpressure;
+  coalescing, and backpressure; a singleton job is a one-item batch,
+  and every item computes through one executor
+  (:class:`~repro.service.operations.InProcessExecutor`, or the cluster
+  supervisor);
 * :mod:`repro.service.http` / :class:`~repro.service.app.Service` — the
   stdlib ``ThreadingHTTPServer`` API (``repro-ajd serve``);
 * :class:`~repro.service.client.ServiceClient` — the Python client,
@@ -38,21 +41,25 @@ from repro.service.client import ServiceClient, ServiceClientError
 from repro.service.config import ServiceConfig
 from repro.service.dispatch import DispatchError, WorkerCrashedError
 from repro.service.faults import FaultPlan, WorkerCrashInjection
-from repro.service.jobs import BatchItem, BatchJob, CircuitBreaker, Job, JobQueue
-from repro.service.operations import canonicalize_params, run_operation
+from repro.service.jobs import CircuitBreaker, Job, JobItem, JobQueue
+from repro.service.operations import (
+    InProcessExecutor,
+    canonicalize_params,
+    run_operation,
+)
 from repro.service.registry import DatasetEntry, DatasetRegistry
 from repro.service.telemetry import MetricsRegistry, StageTimings, Telemetry
 
 __all__ = [
-    "BatchItem",
-    "BatchJob",
     "CircuitBreaker",
     "ClusterSupervisor",
     "DatasetEntry",
     "DatasetRegistry",
     "DispatchError",
     "FaultPlan",
+    "InProcessExecutor",
     "Job",
+    "JobItem",
     "JobQueue",
     "MetricsRegistry",
     "ResultCache",

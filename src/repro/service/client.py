@@ -34,9 +34,8 @@ code (see ``ERROR_CATALOG`` in :mod:`repro.service.http`): 400 →
 :class:`DegradedDatasetError`, 503 → :class:`ServiceUnavailableError`,
 500 → :class:`InternalServerError` — all subclasses of
 :class:`ServiceClientError`, which carries ``.status``, ``.code``,
-``.retryable``, and ``.retry_after_s``.  Requests default to the
-versioned ``/v1/`` paths; pass ``api_version=None`` to exercise the
-deprecated bare aliases.
+``.retryable``, and ``.retry_after_s``.  Requests go to the versioned
+``/v1/`` paths.
 """
 
 from __future__ import annotations
@@ -143,12 +142,10 @@ class ServiceClient:
         backoff_base_s: float = 0.05,
         backoff_cap_s: float = 2.0,
         seed: int | None = None,
-        api_version: str | None = "v1",
     ) -> None:
         if retries < 0:
             raise ServiceError(f"retries must be >= 0, got {retries}")
         self.base_url = base_url.rstrip("/")
-        self._prefix = f"/{api_version}" if api_version else ""
         self.timeout = timeout
         self.retries = retries
         self.backoff_base_s = backoff_base_s
@@ -297,7 +294,7 @@ class ServiceClient:
             body["chunk_rows"] = chunk_rows
         if name is not None:
             body["name"] = name
-        return self._request("POST", f"{self._prefix}/datasets", body)
+        return self._request("POST", "/v1/datasets", body)
 
     def append_dataset(
         self,
@@ -320,14 +317,14 @@ class ServiceClient:
         if path is not None:
             body["path"] = str(path)
         return self._request(
-            "POST", f"{self._prefix}/datasets/{fingerprint}/append", body
+            "POST", f"/v1/datasets/{fingerprint}/append", body
         )
 
     def get_dataset(self, fingerprint: str) -> dict:
-        return self._request("GET", f"{self._prefix}/datasets/{fingerprint}")
+        return self._request("GET", f"/v1/datasets/{fingerprint}")
 
     def list_datasets(self) -> list[dict]:
-        return self._request("GET", f"{self._prefix}/datasets")["datasets"]
+        return self._request("GET", "/v1/datasets")["datasets"]
 
     # ------------------------------------------------------------------
     # Jobs
@@ -351,7 +348,7 @@ class ServiceClient:
             idempotency_key = uuid.uuid4().hex
         return self._request(
             "POST",
-            f"{self._prefix}/jobs",
+            "/v1/jobs",
             {
                 "fingerprint": fingerprint,
                 "operation": operation,
@@ -377,7 +374,7 @@ class ServiceClient:
             idempotency_key = uuid.uuid4().hex
         return self._request(
             "POST",
-            f"{self._prefix}/jobs/batch",
+            "/v1/jobs/batch",
             {
                 "fingerprint": fingerprint,
                 "operations": operations,
@@ -386,7 +383,7 @@ class ServiceClient:
         )
 
     def get_job(self, job_id: str) -> dict:
-        return self._request("GET", f"{self._prefix}/jobs/{job_id}")
+        return self._request("GET", f"/v1/jobs/{job_id}")
 
     def wait_job(
         self,
@@ -420,19 +417,6 @@ class ServiceClient:
             time.sleep(max(sleep_s, 0.0))
             interval = min(interval * 1.6, poll_cap_s)
 
-    def wait_batch(
-        self,
-        job_id: str,
-        *,
-        timeout: float = 60.0,
-        poll_s: float = 0.02,
-        poll_cap_s: float = 0.5,
-    ) -> dict:
-        """Alias of :meth:`wait_job` — batch jobs share the poll lifecycle."""
-        return self.wait_job(
-            job_id, timeout=timeout, poll_s=poll_s, poll_cap_s=poll_cap_s
-        )
-
     def run_batch(
         self,
         fingerprint: str,
@@ -443,7 +427,7 @@ class ServiceClient:
         """Submit a batch, wait, and return the finished job view."""
         job = self.submit_batch(fingerprint, operations)
         if job["state"] in ("queued", "running"):
-            job = self.wait_batch(job["job_id"], timeout=timeout)
+            job = self.wait_job(job["job_id"], timeout=timeout)
         return job
 
     def batch_reports(
@@ -522,15 +506,15 @@ class ServiceClient:
     # Introspection
     # ------------------------------------------------------------------
     def healthz(self) -> dict:
-        return self._request("GET", f"{self._prefix}/healthz")
+        return self._request("GET", "/v1/healthz")
 
     def stats(self) -> dict:
-        return self._request("GET", f"{self._prefix}/stats")
+        return self._request("GET", "/v1/stats")
 
     def metrics_text(self) -> str:
         """``GET /v1/metrics``: the raw Prometheus text exposition."""
         request = urllib.request.Request(
-            self.base_url + f"{self._prefix}/metrics",
+            self.base_url + "/v1/metrics",
             headers={"Accept": "text/plain"},
         )
         with urllib.request.urlopen(request, timeout=self.timeout) as response:

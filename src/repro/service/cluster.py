@@ -192,11 +192,12 @@ class ShardMap:
 class ClusterSupervisor:
     """Spawns, heartbeats, respawns, and routes to N worker processes.
 
-    This is the :class:`~repro.service.jobs.JobQueue`'s pluggable
-    executor: :meth:`execute` replaces the in-process
-    ``registry.relation() + run_operation()`` pair, routing the job to
-    its shard's worker over the :mod:`repro.service.dispatch` protocol
-    and folding the returned memo delta into the shared sidecar tier.
+    This is the :class:`~repro.service.jobs.JobQueue`'s cluster
+    executor: :meth:`execute` has the signature of
+    :meth:`~repro.service.operations.InProcessExecutor.execute`, but
+    routes the operation to its shard's worker over the
+    :mod:`repro.service.dispatch` protocol and folds the returned memo
+    delta into the shared sidecar tier.
     """
 
     def __init__(

@@ -1,11 +1,10 @@
 """HTTP/JSON API: a stdlib ``ThreadingHTTPServer`` over the service core.
 
-The API is versioned under ``/v1/``; the bare legacy paths (``/jobs``,
-``/datasets``, ...) remain as **deprecated aliases** of the same
-handlers (responses to them carry a ``Deprecation: true`` header).
-Routing is a declarative table (:data:`ROUTES`) — method + path
-pattern, with ``{placeholder}`` segments bound as handler arguments —
-shared by both verbs, replacing the old per-verb if/elif ladders.
+The API is versioned under ``/v1/``; a path outside it is a 404
+``unknown_route``.  Routing is a declarative table (:data:`ROUTES`) —
+method + path pattern, with ``{placeholder}`` segments bound as handler
+arguments — shared by both verbs, replacing the old per-verb if/elif
+ladders.
 
 Routes (all request/response bodies are JSON):
 
@@ -131,9 +130,9 @@ ERROR_CATALOG = {
 
 #: Declarative route table: (method, path pattern, handler attribute).
 #: ``{name}`` segments match any one segment and are passed to the
-#: handler positionally, in pattern order.  Every pattern is served both
-#: under ``/v1/`` and bare (deprecated legacy alias).  Literal patterns
-#: must precede placeholder patterns that would also match them.
+#: handler positionally, in pattern order.  Every pattern is served
+#: under ``/v1/``.  Literal patterns must precede placeholder patterns
+#: that would also match them.
 ROUTES = (
     ("GET", ("healthz",), "_handle_healthz"),
     ("GET", ("stats",), "_handle_stats"),
@@ -272,10 +271,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self._send_tracing_headers()
-        if getattr(self, "_legacy_route", False):
-            # Bare (unversioned) path: still served, but flagged so
-            # clients can migrate to /v1/ before the alias is removed.
-            self.send_header("Deprecation", "true")
         if status == 503:
             # Queue-full keeps the legacy fixed hint; breaker-open
             # advertises its actual remaining cooldown (rounded up —
@@ -369,9 +364,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     def _dispatch(self, method: str) -> None:
         parts = self._route()
-        self._legacy_route = not (parts and parts[0] == API_VERSION)
-        if not self._legacy_route:
-            parts = parts[1:]
+        # Outside /v1/ nothing matches: the empty tuple fits no pattern.
+        parts = parts[1:] if parts[:1] == (API_VERSION,) else ()
         # Per-request telemetry identity: the request id is always fresh
         # (one per HTTP exchange); the trace id is taken from the caller's
         # ``X-Trace-Id`` header when present so multi-request workflows
@@ -458,8 +452,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         )
         self.send_header("Content-Length", str(len(body)))
         self._send_tracing_headers()
-        if getattr(self, "_legacy_route", False):
-            self.send_header("Deprecation", "true")
         self.end_headers()
         self.wfile.write(body)
 
@@ -536,16 +528,11 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         params = body.get("params") or {}
         if not isinstance(params, dict):
             raise ServiceError(f"params must be a JSON object, got {params!r}")
-        idempotency_key = body.get("idempotency_key")
-        if idempotency_key is not None and not isinstance(idempotency_key, str):
-            raise ServiceError(
-                f"idempotency_key must be a string, got {idempotency_key!r}"
-            )
         job = self.service.jobs.submit(
             fingerprint,
             operation,
             params,
-            idempotency_key=idempotency_key,
+            idempotency_key=body.get("idempotency_key"),
             trace_id=self._trace_id,
         )
         self._log_fields.update(
@@ -558,21 +545,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         fingerprint = body.get("fingerprint")
         if not isinstance(fingerprint, str):
             raise ServiceError("batch body needs a string 'fingerprint'")
-        operations = body.get("operations")
-        if not isinstance(operations, list):
-            raise ServiceError(
-                "batch body needs an 'operations' list of "
-                '{"operation": ..., "params": ...} objects'
-            )
-        idempotency_key = body.get("idempotency_key")
-        if idempotency_key is not None and not isinstance(idempotency_key, str):
-            raise ServiceError(
-                f"idempotency_key must be a string, got {idempotency_key!r}"
-            )
         job = self.service.jobs.submit_batch(
             fingerprint,
-            operations,
-            idempotency_key=idempotency_key,
+            body.get("operations"),
+            idempotency_key=body.get("idempotency_key"),
             trace_id=self._trace_id,
         )
         self._log_fields.update(job_id=job.id, cached=job.cached)

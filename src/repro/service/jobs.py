@@ -1,29 +1,48 @@
 """Job queue + worker pool: asynchronous, cached, deadline-bounded compute.
 
-``POST /jobs`` becomes a :class:`Job` here.  The submission path is
-where all the amortization happens, in order:
+Every job is a list of operations against one dataset.  ``POST /jobs``
+makes a one-item :class:`Job`; ``POST /jobs/batch`` makes one with
+``batch=True``, a flag that only selects the JSON view.  Both request
+shapes are parsed by their own ``submit`` method and then share one
+admission path, where all the amortization happens, in order:
 
-1. **Cache hit** — the `(fingerprint, operation, canonical params)` key
-   is already in the :class:`~repro.service.cache.ResultCache`: the job
-   is born ``done`` with the cached report (marked ``cached: true``)
-   and never touches a worker.
-2. **In-flight coalescing** — an identical job is already queued or
-   running: the *same* job object is returned, so concurrent identical
-   clients share one computation and read bit-identical reports.
-3. **Enqueue** — otherwise the job is queued for the worker pool, with
-   **backpressure**: beyond ``max_queue`` waiting jobs, submission
-   raises :class:`~repro.errors.QueueFullError` (HTTP 503).
+1. **Idempotent replay** — an optional ``idempotency_key`` maps a
+   retried submit back onto the job the first attempt created, so a
+   client that lost the response (dropped connection) never double-runs
+   work — even for deadline jobs, which deliberately never coalesce.  A
+   token belongs to one job kind: reusing a singleton's token for a
+   batch, or a batch's for a singleton, is a client error.
+2. **Cache pre-answer** — each item whose `(fingerprint, operation,
+   canonical params)` key is already in the
+   :class:`~repro.service.cache.ResultCache` takes the cached report
+   (marked ``cached: true``); a job whose items are all answered is born
+   ``done`` and never touches a worker.
+3. **In-flight coalescing** — a deadline-free one-item job identical to
+   one already queued or running returns the *same* job object, so
+   concurrent identical clients share one computation and read
+   bit-identical reports.
+4. **Enqueue** — otherwise the job is queued for the worker pool as one
+   unit, with **backpressure**: beyond ``max_queue`` waiting jobs,
+   submission raises :class:`~repro.errors.QueueFullError` (HTTP 503).
 
 Workers are threads (the compute is numpy-heavy, releasing the GIL in
 the hot group-by/bincount kernels; process-level parallelism is the
-cluster's job, see :mod:`repro.service.cluster`).  Each job's optional
-``deadline`` becomes an absolute timestamp at submission: a job that
-*starts* past its deadline is failed as ``timeout`` without computing,
-and one that starts in time hands the remaining budget to the search
-context (:meth:`~repro.discovery.context.SearchContext.create` via
-``deadline_at``), so an expiring search returns its best-so-far schema
-with ``partial: true``.  Timed-out, partial, and degraded results are
-**never cached** — a retry with a larger budget must recompute.
+cluster's job, see :mod:`repro.service.cluster`).  A worker runs a job's
+items in order, each through one executor call:
+:class:`~repro.service.operations.InProcessExecutor` by default, or a
+:class:`~repro.service.cluster.ClusterSupervisor`.  Items after the first
+re-check the cache, so an earlier identical item in the same job fills
+it for its twins, and each item is cached on its own — a batch's reports
+are bit-identical to the same operations submitted as singletons.
+
+Deadlines: a singleton's ``deadline`` param, else ``default_deadline_s``,
+becomes an absolute timestamp at submission.  An item that *starts* past
+it ends ``timeout`` without computing; one that starts in time hands the
+remaining budget to the search context (via ``deadline_at``), so an
+expiring search returns its best-so-far schema with ``partial: true``.
+Timed-out, partial, and degraded results are **never cached** — a retry
+with a larger budget must recompute.  A job ends ``done`` if any item is
+done, ``timeout`` if every item timed out, and ``failed`` otherwise.
 
 Resilience (see ``docs/robustness.md``):
 
@@ -33,30 +52,18 @@ Resilience (see ``docs/robustness.md``):
   :class:`~repro.service.faults.WorkerCrashInjection`), fails the
   in-flight job with a structured ``worker_crashed`` reason, and
   respawns a replacement thread, so the pool never silently shrinks.
+* **Failure scope** — a client error (bad schema, bad params) fails only
+  its own item.  An infrastructure error (worker process crash, dispatch
+  failure, degraded dataset) fails the item and every pending item of
+  the job together — they all target the same dataset, hence the same
+  worker path — and sets the job's ``reason``.
 * **Circuit breaker** — per operation: ``breaker_failures`` consecutive
   *infrastructure* failures (worker crashes, internal errors, degraded
   datasets — never client errors or timeouts) open the breaker, and
-  submissions fast-fail with :class:`~repro.errors.CircuitOpenError`
-  (HTTP 503 + ``Retry-After``) until the cooldown elapses; a success
-  closes it.  Cache hits and coalescing keep serving while open.
-* **Idempotent resubmission** — an optional ``idempotency_key`` maps a
-  retried submit back onto the job the first attempt created, so a
-  client that lost the response (dropped connection) never double-runs
-  work — even for deadline jobs, which deliberately never coalesce.
-
-Batches (``POST /jobs/batch``) amortize dispatch: a vector of
-operations against **one** dataset becomes a single
-:class:`BatchJob` — one queue unit, one registry lookup (the resident
-relation and its memoized entropy engine are shared across every item),
-one poll loop for the client.  Each item keeps its *own* canonical
-cache key: items are answered from the cache at submission when
-possible, re-checked just before running (an earlier identical item in
-the same batch fills the cache for its twins), and cached individually
-on success — so a batch's reports are bit-identical to the same K
-operations submitted as K singleton jobs.  Batch items are
-deadline-free and never coalesce; the per-operation breakers still
-guard them (submission fast-fails if any pending item's breaker is
-open, and item outcomes feed the same breakers).
+  submissions with a pending item of that operation fast-fail with
+  :class:`~repro.errors.CircuitOpenError` (HTTP 503 + ``Retry-After``)
+  until the cooldown elapses; a success closes it.  Cache hits and
+  coalescing keep serving while open.
 """
 
 from __future__ import annotations
@@ -80,7 +87,7 @@ from repro.factorize.report import validate_report
 from repro.service.cache import ResultCache, canonical_key
 from repro.service.dispatch import DispatchError, WorkerCrashedError
 from repro.service.faults import DISABLED, FaultPlan
-from repro.service.operations import canonicalize_params, run_operation
+from repro.service.operations import InProcessExecutor, canonicalize_params
 from repro.service.registry import DatasetRegistry
 from repro.service.telemetry import MetricsRegistry, Telemetry, new_trace_id
 
@@ -145,116 +152,8 @@ class CircuitBreaker:
         }
 
 
-class Job:
-    """One unit of requested work and its observable lifecycle."""
-
-    __slots__ = (
-        "cache_key",
-        "cached",
-        "canonical_params",
-        "deadline_at",
-        "deadline_s",
-        "error",
-        "event",
-        "fingerprint",
-        "finished_at",
-        "id",
-        "inflight_key",
-        "operation",
-        "reason",
-        "result",
-        "started_at",
-        "state",
-        "submitted_at",
-        "timings",
-        "trace_id",
-        "worker_slot",
-    )
-
-    def __init__(
-        self,
-        job_id: str,
-        fingerprint: str,
-        operation: str,
-        canonical_params: dict,
-        cache_key: str,
-        *,
-        deadline_s: float | None,
-        trace_id: str | None = None,
-    ) -> None:
-        self.id = job_id
-        self.fingerprint = fingerprint
-        self.operation = operation
-        self.canonical_params = canonical_params
-        self.cache_key = cache_key
-        self.inflight_key: str | None = None
-        self.deadline_s = deadline_s
-        self.deadline_at = (
-            time.monotonic() + deadline_s if deadline_s is not None else None
-        )
-        self.state = QUEUED
-        self.submitted_at = time.monotonic()
-        self.started_at: float | None = None
-        self.finished_at: float | None = None
-        self.result: dict | None = None
-        self.error: str | None = None
-        #: Structured failure class for programmatic clients:
-        #: ``worker_crashed`` | ``dataset_degraded`` | ``shutdown`` |
-        #: ``None`` (success, timeout, or plain operation error).
-        self.reason: str | None = None
-        self.cached = False
-        #: Correlates this job's spans and log lines across processes —
-        #: minted at the front end, rides the cluster wire protocol.
-        self.trace_id = trace_id or new_trace_id()
-        #: Finished stage timeline (``{"run": 0.12, "worker_run": ...}``)
-        #: when telemetry is on; rendered as a ``Server-Timing`` header.
-        self.timings: dict | None = None
-        #: Cluster worker slot that computed the job (None in-process).
-        self.worker_slot: int | None = None
-        self.event = threading.Event()
-
-    def service_time_s(self) -> float | None:
-        """Submission-to-completion wall time (None while unfinished)."""
-        if self.finished_at is None:
-            return None
-        return self.finished_at - self.submitted_at
-
-    def describe(self, *, include_result: bool = True) -> dict:
-        """JSON view served by ``GET /jobs/{id}``."""
-        view = {
-            "job_id": self.id,
-            "state": self.state,
-            "operation": self.operation,
-            "fingerprint": self.fingerprint,
-            "params": dict(self.canonical_params),
-            "cached": self.cached,
-            "deadline_s": self.deadline_s,
-            "service_time_s": self.service_time_s(),
-            "partial": bool(self.result and self.result.get("partial")),
-            "trace_id": self.trace_id,
-        }
-        if self.timings:
-            view["stages"] = dict(self.timings)
-        if self.error is not None:
-            view["error"] = self.error
-        if self.reason is not None:
-            view["reason"] = self.reason
-        if include_result and self.result is not None:
-            view["result"] = self.result
-        return view
-
-    def wait(self, timeout: float | None = None) -> bool:
-        """Block until the job finishes; ``True`` iff it did."""
-        return self.event.wait(timeout)
-
-    def _finish(self, state: str) -> None:
-        self.state = state
-        self.finished_at = time.monotonic()
-        self.event.set()
-
-
-class BatchItem:
-    """One operation inside a batch: its own key, cache row, and outcome."""
+class JobItem:
+    """One operation of a job: its own cache key, cache row, and outcome."""
 
     __slots__ = (
         "cache_key",
@@ -277,6 +176,13 @@ class BatchItem:
         self.error: str | None = None
         self.cached = False
 
+    def answer(self, cached: dict) -> None:
+        """Take a cached report as this item's result."""
+        cached["cached"] = True
+        self.result = cached
+        self.cached = True
+        self.state = DONE
+
     def describe(self, *, include_result: bool = True) -> dict:
         view = {
             "operation": self.operation,
@@ -292,40 +198,142 @@ class BatchItem:
         return view
 
 
-class BatchJob(Job):
-    """A vector of operations against one dataset, run as one queue unit.
+class Job:
+    """One unit of queued work — a list of items — and its lifecycle.
 
-    The batch shares one resident relation (and therefore one memoized
-    entropy engine) across all items; each item is individually
-    canonicalized, cache-checked, executed, and cached, so its report is
-    bit-identical to the singleton submission of the same operation.
-    The batch finishes ``done`` when it ran to completion (individual
-    item failures are reported per item, with a summary in ``error``)
-    and ``failed`` only when *every* item failed or the batch could not
-    run at all (degraded dataset, worker crash, shutdown).
+    ``batch`` only selects the JSON view: a singleton (``POST /jobs``)
+    describes itself flat, and its ``operation``, ``canonical_params``
+    and ``result`` read through to its one item; a batch
+    (``POST /jobs/batch``) lists its items.
     """
 
-    __slots__ = ("items",)
+    __slots__ = (
+        "batch",
+        "deadline_at",
+        "deadline_s",
+        "error",
+        "event",
+        "fingerprint",
+        "finished_at",
+        "id",
+        "inflight_key",
+        "items",
+        "reason",
+        "started_at",
+        "state",
+        "submitted_at",
+        "timings",
+        "trace_id",
+        "worker_slot",
+    )
 
     def __init__(
         self,
         job_id: str,
         fingerprint: str,
-        items: list[BatchItem],
+        items: list[JobItem],
         *,
+        batch: bool,
+        deadline_s: float | None,
         trace_id: str | None = None,
     ) -> None:
-        super().__init__(
-            job_id, fingerprint, "batch", {}, "",
-            deadline_s=None, trace_id=trace_id,
-        )
+        self.id = job_id
+        self.fingerprint = fingerprint
         self.items = items
+        self.batch = batch
+        self.inflight_key: str | None = None
+        self.deadline_s = deadline_s
+        self.submitted_at = time.monotonic()
+        self.deadline_at = (
+            self.submitted_at + deadline_s if deadline_s is not None else None
+        )
+        self.state = QUEUED
+        self.started_at: float | None = None
+        self.finished_at: float | None = None
+        self.error: str | None = None
+        #: Structured failure class for programmatic clients:
+        #: ``worker_crashed`` | ``dispatch_failed`` | ``dataset_degraded``
+        #: | ``shutdown`` | ``None`` (success, timeout, or client error).
+        self.reason: str | None = None
+        #: Correlates this job's spans and log lines across processes —
+        #: minted at the front end, rides the cluster wire protocol.
+        self.trace_id = trace_id or new_trace_id()
+        #: Finished stage timeline (``{"run": 0.12, "worker_run": ...}``)
+        #: when telemetry is on; rendered as a ``Server-Timing`` header.
+        self.timings: dict | None = None
+        #: Cluster worker slot that computed the job (None in-process).
+        self.worker_slot: int | None = None
+        self.event = threading.Event()
+
+    @property
+    def operation(self) -> str:
+        return "batch" if self.batch else self.items[0].operation
+
+    @property
+    def canonical_params(self) -> dict:
+        return self.items[0].canonical_params
+
+    @property
+    def result(self) -> dict | None:
+        return None if self.batch else self.items[0].result
+
+    @property
+    def cached(self) -> bool:
+        """Every item was answered from the result cache."""
+        return all(item.cached for item in self.items)
+
+    def service_time_s(self) -> float | None:
+        """Submission-to-completion wall time (None while unfinished)."""
+        if self.finished_at is None:
+            return None
+        return self.finished_at - self.submitted_at
 
     def pending_operations(self) -> list[str]:
-        """Distinct operations of items still awaiting compute."""
+        """Distinct operations of the items not yet finished."""
         return sorted(
-            {item.operation for item in self.items if item.state == QUEUED}
+            {
+                item.operation
+                for item in self.items
+                if item.state in (QUEUED, RUNNING)
+            }
         )
+
+    def describe(self, *, include_result: bool = True) -> dict:
+        """JSON view served by ``GET /jobs/{id}``."""
+        view = {
+            "job_id": self.id,
+            "state": self.state,
+            "operation": self.operation,
+            "fingerprint": self.fingerprint,
+            "cached": self.cached,
+            "service_time_s": self.service_time_s(),
+            "trace_id": self.trace_id,
+        }
+        if self.batch:
+            view["n_items"] = len(self.items)
+            view["n_cached"] = sum(item.cached for item in self.items)
+            view["n_failed"] = sum(item.state == FAILED for item in self.items)
+            view["items"] = [
+                item.describe(include_result=include_result)
+                for item in self.items
+            ]
+        else:
+            view["params"] = dict(self.canonical_params)
+            view["deadline_s"] = self.deadline_s
+            view["partial"] = bool(self.result and self.result.get("partial"))
+            if self.timings:
+                view["stages"] = dict(self.timings)
+        if self.error is not None:
+            view["error"] = self.error
+        if self.reason is not None:
+            view["reason"] = self.reason
+        if include_result and self.result is not None:
+            view["result"] = self.result
+        return view
+
+    def wait(self, timeout: float | None = None) -> bool:
+        """Block until the job finishes; ``True`` iff it did."""
+        return self.event.wait(timeout)
 
     def _fail_pending(self, error: str) -> None:
         for item in self.items:
@@ -333,29 +341,32 @@ class BatchJob(Job):
                 item.state = FAILED
                 item.error = error
 
-    def describe(self, *, include_result: bool = True) -> dict:
-        """JSON view served by ``GET /jobs/{id}`` for batch jobs."""
-        view = {
-            "job_id": self.id,
-            "state": self.state,
-            "operation": "batch",
-            "fingerprint": self.fingerprint,
-            "n_items": len(self.items),
-            "n_cached": sum(item.cached for item in self.items),
-            "n_failed": sum(item.state == FAILED for item in self.items),
-            "cached": self.cached,
-            "service_time_s": self.service_time_s(),
-            "trace_id": self.trace_id,
-            "items": [
-                item.describe(include_result=include_result)
-                for item in self.items
-            ],
-        }
-        if self.error is not None:
-            view["error"] = self.error
-        if self.reason is not None:
-            view["reason"] = self.reason
-        return view
+    def _settle(self) -> None:
+        """Finish in the state the items add up to.
+
+        ``done`` if any item is done, ``timeout`` if every item timed
+        out, ``failed`` otherwise — for one item, exactly its own state.
+        """
+        states = [item.state for item in self.items]
+        if DONE in states:
+            state = DONE
+        elif all(item_state == TIMEOUT for item_state in states):
+            state = TIMEOUT
+        else:
+            state = FAILED
+        if self.error is None:
+            if not self.batch:
+                self.error = self.items[0].error
+            else:
+                unfinished = sum(item_state != DONE for item_state in states)
+                if unfinished:
+                    self.error = (
+                        f"{unfinished} of {len(states)} operations did not "
+                        "complete"
+                    )
+        self.state = state
+        self.finished_at = time.monotonic()
+        self.event.set()
 
 
 class JobQueue:
@@ -396,12 +407,15 @@ class JobQueue:
             )
         self._registry = registry
         self._cache = cache
-        #: Pluggable compute: ``None`` runs operations in-process (the
-        #: classic single-process service, bit-identical behaviour);
-        #: a :class:`~repro.service.cluster.ClusterSupervisor` routes
-        #: them to the shard's owning worker subprocess instead.
-        self._executor = executor
         self._faults = faults if faults is not None else DISABLED
+        #: Where every operation's compute runs: in-process by default,
+        #: or a :class:`~repro.service.cluster.ClusterSupervisor` that
+        #: routes it to the shard's owning worker subprocess.
+        self._executor = (
+            executor
+            if executor is not None
+            else InProcessExecutor(registry, self._faults)
+        )
         self._default_deadline_s = default_deadline_s
         self._queue: queue.Queue[Job | None] = queue.Queue(maxsize=max_queue)
         self._jobs: dict[str, Job] = {}
@@ -414,7 +428,7 @@ class JobQueue:
         self._inflight: dict[str, Job] = {}  # cache_key → live deadline-free job
         #: idempotency_key → job id, bounded like finished-job retention.
         self._idempotency: OrderedDict[str, str] = OrderedDict()
-        # Reentrant: the submit miss path creates jobs under the lock.
+        # Reentrant: admission creates jobs under the lock.
         self._lock = threading.RLock()
         self._ids = itertools.count(1)
         self._max_batch_ops = max_batch_ops
@@ -562,24 +576,6 @@ class JobQueue:
         (whatever its state), so a client whose connection dropped after
         submission never double-runs work.
         """
-        if self._closed:
-            raise ServiceError("job queue is shut down")
-        if idempotency_key is not None:
-            if not isinstance(idempotency_key, str) or not (
-                0 < len(idempotency_key) <= 200
-            ):
-                raise ServiceError(
-                    "idempotency_key must be a non-empty string of at most "
-                    f"200 characters, got {idempotency_key!r}"
-                )
-            with self._lock:
-                replayed_id = self._idempotency.get(idempotency_key)
-                replayed = (
-                    self._jobs.get(replayed_id) if replayed_id is not None else None
-                )
-                if replayed is not None:
-                    self._c_idempotent.inc()
-                    return replayed
         params = dict(params or {})
         deadline_s = params.pop("deadline", None)
         if deadline_s is not None:
@@ -592,87 +588,18 @@ class JobQueue:
             if deadline_s <= 0:
                 raise ServiceError(f"deadline must be positive, got {deadline_s}")
             deadline_s = float(deadline_s)
-        else:
-            deadline_s = self._default_deadline_s
-        canonical = canonicalize_params(operation, params)
         # Raises UnknownDatasetError early; a fingerprint superseded by
         # an append resolves to the live version, so the cache is keyed
         # (and the job runs) on current content.
         fingerprint = self._registry.get(fingerprint).fingerprint
-        key = canonical_key(fingerprint, operation, canonical)
-        # The cache key is deadline-free (cached results are complete,
-        # hence valid under any budget); coalescing is stricter still:
-        # only deadline-free jobs coalesce.  Relative deadlines become
-        # absolute at submission, so two "deadline=10" requests arriving
-        # seconds apart have *different* remaining budgets — sharing one
-        # outcome would hand the later caller less wall clock than it
-        # asked for (or a timeout it never earned).
-        inflight_key = key if deadline_s is None else None
-
-        cached = self._cache.get(key)
-        if cached is not None:
-            job = self._new_job(
-                fingerprint, operation, canonical, key,
-                deadline_s=deadline_s, trace_id=trace_id,
-            )
-            job.cached = True
-            job.result = cached
-            job.result["cached"] = True
-            job._finish(DONE)
-            with self._lock:
-                self._c_completed.labels(DONE).inc()
-                self._record_finished(job)
-                self._record_idempotency(idempotency_key, job)
-            return job
-
-        with self._lock:
-            inflight = (
-                self._inflight.get(inflight_key)
-                if inflight_key is not None
-                else None
-            )
-            if inflight is not None:
-                self._c_coalesced.inc()
-                self._record_idempotency(idempotency_key, inflight)
-                return inflight
-            # The breaker guards only fresh compute: cache hits and
-            # coalescing keep serving while it is open — that is the
-            # graceful part of the degradation.
-            breaker = self._breakers[operation]
-            retry_after = breaker.check()
-            if retry_after is not None:
-                raise CircuitOpenError(
-                    f"{operation} circuit breaker is open after "
-                    f"{breaker.consecutive} consecutive infrastructure "
-                    f"failures; retry in {retry_after:.1f}s",
-                    retry_after_s=retry_after,
-                )
-            if self._closed:
-                # Re-checked under the lock: shutdown sets the flag and
-                # then drains, so a submit racing it either lands before
-                # the drain (and is failed by it) or is rejected here —
-                # never enqueued onto a dead pool.
-                raise ServiceError("job queue is shut down")
-            job = self._new_job(
-                fingerprint, operation, canonical, key,
-                deadline_s=deadline_s, trace_id=trace_id,
-            )
-            # Enqueue while still holding the lock (put_nowait cannot
-            # block): nobody can coalesce onto a job that backpressure
-            # is about to roll back.
-            try:
-                self._queue.put_nowait(job)
-            except queue.Full:
-                self._jobs.pop(job.id, None)
-                raise QueueFullError(
-                    f"job queue is full ({self._queue.maxsize} waiting); "
-                    "retry later"
-                ) from None
-            if inflight_key is not None:
-                job.inflight_key = inflight_key
-                self._inflight[inflight_key] = job
-            self._record_idempotency(idempotency_key, job)
-        return job
+        return self._admit(
+            fingerprint,
+            [self._item(fingerprint, operation, params)],
+            batch=False,
+            deadline_s=deadline_s,
+            idempotency_key=idempotency_key,
+            trace_id=trace_id,
+        )
 
     def submit_batch(
         self,
@@ -681,41 +608,16 @@ class JobQueue:
         *,
         idempotency_key: str | None = None,
         trace_id: str | None = None,
-    ) -> BatchJob:
+    ) -> Job:
         """Submit a vector of operations against one dataset as one job.
 
         ``operations`` is a list of ``{"operation": ..., "params": ...}``
-        objects (``params`` optional).  Items are deadline-free and may
-        not carry a ``deadline``.
-        Items already in the result cache are answered at submission;
-        a batch whose items are *all* cached is born ``done`` without
-        touching a worker.  Otherwise the batch enqueues as a single
-        unit — one registry lookup and one shared resident engine for
-        every item — provided no pending item's circuit breaker is open.
+        objects (``params`` optional).  Items may not carry their own
+        ``deadline``; ``default_deadline_s`` bounds the whole batch.
+        The batch enqueues as a single unit — one executor call per
+        item on one worker thread — unless every item is answered from
+        the cache at submission.
         """
-        if self._closed:
-            raise ServiceError("job queue is shut down")
-        if idempotency_key is not None:
-            if not isinstance(idempotency_key, str) or not (
-                0 < len(idempotency_key) <= 200
-            ):
-                raise ServiceError(
-                    "idempotency_key must be a non-empty string of at most "
-                    f"200 characters, got {idempotency_key!r}"
-                )
-            with self._lock:
-                replayed_id = self._idempotency.get(idempotency_key)
-                replayed = (
-                    self._jobs.get(replayed_id) if replayed_id is not None else None
-                )
-                if replayed is not None:
-                    self._c_idempotent.inc()
-                    if not isinstance(replayed, BatchJob):
-                        raise ServiceError(
-                            f"idempotency_key {idempotency_key!r} was used "
-                            "for a non-batch submission"
-                        )
-                    return replayed
         if not isinstance(operations, list) or not operations:
             raise ServiceError(
                 "operations must be a non-empty list of "
@@ -726,10 +628,9 @@ class JobQueue:
                 f"batch has {len(operations)} operations, limit is "
                 f"{self._max_batch_ops}"
             )
-        # Raises UnknownDatasetError early; appended-over fingerprints
-        # resolve to the live version (see ``submit``).
+        # Raises UnknownDatasetError early (see ``submit``).
         fingerprint = self._registry.get(fingerprint).fingerprint
-        items: list[BatchItem] = []
+        items: list[JobItem] = []
         for index, spec in enumerate(operations):
             if not isinstance(spec, dict):
                 raise ServiceError(
@@ -754,40 +655,98 @@ class JobQueue:
                     f"operations[{index}]: 'deadline' is not supported "
                     "inside a batch; submit a singleton job"
                 )
-            canonical = canonicalize_params(operation, params)
-            items.append(
-                BatchItem(
-                    operation,
-                    canonical,
-                    canonical_key(fingerprint, operation, canonical),
+            items.append(self._item(fingerprint, operation, params))
+        return self._admit(
+            fingerprint,
+            items,
+            batch=True,
+            deadline_s=None,
+            idempotency_key=idempotency_key,
+            trace_id=trace_id,
+        )
+
+    @staticmethod
+    def _item(fingerprint: str, operation: str, params: dict) -> JobItem:
+        canonical = canonicalize_params(operation, params)
+        return JobItem(
+            operation,
+            canonical,
+            canonical_key(fingerprint, operation, canonical),
+        )
+
+    def _admit(
+        self,
+        fingerprint: str,
+        items: list[JobItem],
+        *,
+        batch: bool,
+        deadline_s: float | None,
+        idempotency_key: str | None,
+        trace_id: str | None,
+    ) -> Job:
+        """The one admission path: replay, pre-answer, coalesce, enqueue."""
+        if self._closed:
+            raise ServiceError("job queue is shut down")
+        if idempotency_key is not None:
+            if not isinstance(idempotency_key, str) or not (
+                0 < len(idempotency_key) <= 200
+            ):
+                raise ServiceError(
+                    "idempotency_key must be a non-empty string of at most "
+                    f"200 characters, got {idempotency_key!r}"
                 )
-            )
-        # Pre-answer from the cache: fully cached batches never enqueue.
-        cache_hits = 0
+            with self._lock:
+                replayed = self._jobs.get(self._idempotency.get(idempotency_key))
+                if replayed is not None:
+                    if replayed.batch != batch:
+                        raise ServiceError(
+                            f"idempotency_key {idempotency_key!r} was used for "
+                            f"a {'batch' if replayed.batch else 'singleton'} "
+                            "submission"
+                        )
+                    self._c_idempotent.inc()
+                    return replayed
+        if deadline_s is None:
+            deadline_s = self._default_deadline_s
         for item in items:
             cached = self._cache.get(item.cache_key)
             if cached is not None:
-                cached["cached"] = True
-                item.result = cached
-                item.cached = True
-                item.state = DONE
-                cache_hits += 1
+                item.answer(cached)
+        # The cache key is deadline-free (cached results are complete,
+        # hence valid under any budget); coalescing is stricter still:
+        # only deadline-free one-item jobs coalesce.  Relative deadlines
+        # become absolute at submission, so two "deadline=10" requests
+        # arriving seconds apart have *different* remaining budgets —
+        # sharing one outcome would hand the later caller less wall
+        # clock than it asked for (or a timeout it never earned).
+        inflight_key = (
+            items[0].cache_key if not batch and deadline_s is None else None
+        )
         with self._lock:
-            self._c_batches.inc()
-            self._c_batch_items.inc(len(items))
-            if cache_hits:
-                self._c_batch_item_cache_hits.inc(cache_hits)
+            if batch:
+                self._c_batches.inc()
+                self._c_batch_items.inc(len(items))
+                hits = sum(item.cached for item in items)
+                if hits:
+                    self._c_batch_item_cache_hits.inc(hits)
             pending = sorted(
                 {item.operation for item in items if item.state == QUEUED}
             )
             if not pending:
-                job = self._new_batch_job(fingerprint, items, trace_id=trace_id)
-                job.cached = True
-                job._finish(DONE)
+                job = self._new_job(fingerprint, items, batch, deadline_s, trace_id)
+                job._settle()
                 self._c_completed.labels(DONE).inc()
                 self._record_finished(job)
                 self._record_idempotency(idempotency_key, job)
                 return job
+            inflight = self._inflight.get(inflight_key)
+            if inflight is not None:
+                self._c_coalesced.inc()
+                self._record_idempotency(idempotency_key, inflight)
+                return inflight
+            # The breaker guards only fresh compute: cache hits and
+            # coalescing keep serving while it is open — that is the
+            # graceful part of the degradation.
             for operation in pending:
                 breaker = self._breakers[operation]
                 retry_after = breaker.check()
@@ -799,8 +758,15 @@ class JobQueue:
                         retry_after_s=retry_after,
                     )
             if self._closed:
+                # Re-checked under the lock: shutdown sets the flag and
+                # then drains, so a submit racing it either lands before
+                # the drain (and is failed by it) or is rejected here —
+                # never enqueued onto a dead pool.
                 raise ServiceError("job queue is shut down")
-            job = self._new_batch_job(fingerprint, items, trace_id=trace_id)
+            job = self._new_job(fingerprint, items, batch, deadline_s, trace_id)
+            # Enqueue while still holding the lock (put_nowait cannot
+            # block): nobody can coalesce onto a job that backpressure
+            # is about to roll back.
             try:
                 self._queue.put_nowait(job)
             except queue.Full:
@@ -809,21 +775,31 @@ class JobQueue:
                     f"job queue is full ({self._queue.maxsize} waiting); "
                     "retry later"
                 ) from None
+            if inflight_key is not None:
+                job.inflight_key = inflight_key
+                self._inflight[inflight_key] = job
             self._record_idempotency(idempotency_key, job)
         return job
 
-    def _new_batch_job(
+    def _new_job(
         self,
         fingerprint: str,
-        items: list[BatchItem],
-        *,
-        trace_id: str | None = None,
-    ) -> BatchJob:
-        with self._lock:
-            job_id = f"job-{next(self._ids)}"
-            job = BatchJob(job_id, fingerprint, items, trace_id=trace_id)
-            self._jobs[job_id] = job
-            return job
+        items: list[JobItem],
+        batch: bool,
+        deadline_s: float | None,
+        trace_id: str | None,
+    ) -> Job:
+        """Mint and register a job (caller holds the lock)."""
+        job = Job(
+            f"job-{next(self._ids)}",
+            fingerprint,
+            items,
+            batch=batch,
+            deadline_s=deadline_s,
+            trace_id=trace_id,
+        )
+        self._jobs[job.id] = job
+        return job
 
     def _record_idempotency(self, token: str | None, job: Job) -> None:
         """Remember token → job id, bounded (caller holds the lock)."""
@@ -833,25 +809,6 @@ class JobQueue:
         self._idempotency.move_to_end(token)
         while len(self._idempotency) > self._max_finished:
             self._idempotency.popitem(last=False)
-
-    def _new_job(
-        self,
-        fingerprint: str,
-        operation: str,
-        canonical: dict,
-        key: str,
-        *,
-        deadline_s: float | None,
-        trace_id: str | None = None,
-    ) -> Job:
-        with self._lock:
-            job_id = f"job-{next(self._ids)}"
-            job = Job(
-                job_id, fingerprint, operation, canonical, key,
-                deadline_s=deadline_s, trace_id=trace_id,
-            )
-            self._jobs[job_id] = job
-            return job
 
     def _record_finished(self, job: Job) -> None:
         """Bound finished-job retention (caller holds the lock)."""
@@ -1034,16 +991,8 @@ class JobQueue:
                         f"{type(exc).__name__}: {exc}"
                     )
                     job.reason = "worker_crashed"
-                    with self._lock:
-                        if isinstance(job, BatchJob):
-                            # Charge each distinct still-pending item
-                            # operation; "batch" itself has no breaker.
-                            for operation in job.pending_operations():
-                                self._breakers[operation].record_failure()
-                            job._fail_pending(job.error)
-                        else:
-                            self._breakers[job.operation].record_failure()
-                    job._finish(FAILED)
+                    self._abort(job, job.error)
+                    job._settle()
                 raise
             finally:
                 with self._lock:
@@ -1095,218 +1044,64 @@ class JobQueue:
             except ServiceError:
                 pass  # purely observational; never fail the job over it
 
-    def _execute(
-        self,
-        fingerprint: str,
-        operation: str,
-        canonical: dict,
-        *,
-        deadline_at: float | None,
-        trace: str | None = None,
-        timings=None,
-    ) -> dict:
-        """One operation's compute, in-process or via the cluster executor.
-
-        The in-process path (``executor=None``) is byte-for-byte the
-        pre-cluster code: resident relation from the registry, then
-        :func:`~repro.service.operations.run_operation` on this thread.
-        With an executor, the relation never materializes here — the
-        shard's owning worker hydrates it from its snapshot and runs
-        the operation in its own process.
-        """
-        if self._executor is not None:
-            return self._executor.execute(
-                fingerprint,
-                operation,
-                canonical,
-                deadline_at=deadline_at,
-                trace=trace,
-                timings=timings,
-            )
-        relation = self._registry.relation(fingerprint)
-        return run_operation(
-            relation,
-            operation,
-            canonical,
-            deadline_at=deadline_at,
-            faults=self._faults,
-            timings=timings,
-        )
+    def _abort(self, job: Job, error: str) -> None:
+        """Fail every unfinished item with ``error``; charge each pending
+        operation's breaker once."""
+        with self._lock:
+            for operation in job.pending_operations():
+                self._breakers[operation].record_failure()
+        job._fail_pending(error)
 
     def _run_job(self, job: Job) -> None:
-        if isinstance(job, BatchJob):
-            self._run_batch(job)
-            return
-        job.started_at = time.monotonic()
-        if job.deadline_at is not None and job.started_at >= job.deadline_at:
-            # Expired while waiting in the queue: report a well-formed
-            # timeout without burning a worker on doomed compute.
-            job.error = (
-                f"deadline of {job.deadline_s:g}s expired before the job "
-                f"started (queued {job.started_at - job.submitted_at:.3f}s)"
-            )
-            job._finish(TIMEOUT)
-            return
-        job.state = RUNNING
-        timings = self._timings()
-        run_started = time.perf_counter()
-        try:
-            self._faults.check("jobs.slow")
-            if timings is not None and self._executor is not None:
-                self._note_worker_slot(job)
-            payload = self._execute(
-                job.fingerprint,
-                job.operation,
-                job.canonical_params,
-                deadline_at=job.deadline_at,
-                trace=job.trace_id,
-                timings=timings,
-            )
-            validate_report(payload)
-            if not payload.get("partial") and not payload.get("degraded"):
-                # Partial (deadline-expired) and degraded (sketch
-                # fallback) results are never cached: a retry under
-                # better conditions must recompute the exact answer.
-                self._cache.put(
-                    job.cache_key,
-                    payload,
-                    meta={
-                        "fingerprint": job.fingerprint,
-                        "operation": job.operation,
-                        "params": job.canonical_params,
-                    },
-                )
-            job.result = payload
-            with self._lock:
-                self._breakers[job.operation].record_success()
-            job._finish(DONE)
-        except WorkerCrashedError as exc:
-            # The dataset's owning worker *process* died mid-job — the
-            # process-level twin of a worker-thread crash, with the same
-            # structured reason and breaker accounting.  The cluster
-            # supervisor respawns the shard; a retry rehydrates from the
-            # snapshot.
-            job.error = str(exc)
-            job.reason = "worker_crashed"
-            with self._lock:
-                self._breakers[job.operation].record_failure()
-            job._finish(FAILED)
-        except DispatchError as exc:
-            # The front end could not reach (or gave up on) the owning
-            # worker: infrastructure, so the breaker counts it.
-            job.error = str(exc)
-            job.reason = "dispatch_failed"
-            with self._lock:
-                self._breakers[job.operation].record_failure()
-            job._finish(FAILED)
-        except DatasetDegradedError as exc:
-            # Infrastructure, not the client's fault: counts toward the
-            # breaker so a registry with a vanished source fast-fails
-            # instead of re-ingest-storming on every request.
-            job.error = str(exc)
-            job.reason = "dataset_degraded"
-            with self._lock:
-                self._breakers[job.operation].record_failure()
-            job._finish(FAILED)
-        except ReproError as exc:
-            # Client errors (bad schema, bad params): the breaker stays
-            # untouched — one misbehaving client must not trip the pool
-            # shut for everyone else.
-            job.error = str(exc)
-            job._finish(FAILED)
-        except Exception as exc:  # never kill a worker thread
-            job.error = f"internal error: {exc}"
-            with self._lock:
-                self._breakers[job.operation].record_failure()
-            traceback.print_exc()
-            job._finish(FAILED)
-        finally:
-            if timings is not None:
-                timings.add("run", time.perf_counter() - run_started)
-                job.timings = timings.to_dict()
+        """Run the job's pending items in order, one executor call each.
 
-    def _run_batch(self, job: BatchJob) -> None:
-        """Execute every pending item against one shared resident relation.
-
-        The registry lookup (and any snapshot/CSV reload it triggers)
-        happens **once**; each item then reuses the relation and its
-        memoized entropy engine.  Items re-check the cache just before
-        running — an earlier identical item in the same batch, or a
-        concurrent singleton job, may already have filled it.
+        A client error fails only its own item; an infrastructure error
+        fails it and every pending item together.
         """
         job.started_at = time.monotonic()
         job.state = RUNNING
         timings = self._timings()
         run_started = time.perf_counter()
-        if timings is not None and self._executor is not None:
+        if timings is not None:
             self._note_worker_slot(job)
-        try:
-            self._faults.check("jobs.slow")
-            # In cluster mode the relation lives in the owning worker,
-            # not here; the per-item dispatch below carries the
-            # hydration references instead (same worker for every item
-            # — the batch shares one fingerprint, hence one shard).
-            relation = (
-                self._registry.relation(job.fingerprint)
-                if self._executor is None
-                else None
-            )
-        except DatasetDegradedError as exc:
-            job.error = str(exc)
-            job.reason = "dataset_degraded"
-            with self._lock:
-                for operation in job.pending_operations():
-                    self._breakers[operation].record_failure()
-            job._fail_pending(str(exc))
-            job._finish(FAILED)
-            return
-        except ReproError as exc:
-            job.error = str(exc)
-            job._fail_pending(str(exc))
-            job._finish(FAILED)
-            return
-        except Exception as exc:  # never kill a worker thread
-            job.error = f"internal error: {exc}"
-            with self._lock:
-                for operation in job.pending_operations():
-                    self._breakers[operation].record_failure()
-            traceback.print_exc()
-            job._fail_pending(job.error)
-            job._finish(FAILED)
-            return
-        for item in job.items:
+        self._faults.check("jobs.slow")
+        for index, item in enumerate(job.items):
             if item.state != QUEUED:
                 continue
-            cached = self._cache.get(item.cache_key)
-            if cached is not None:
-                cached["cached"] = True
-                item.result = cached
-                item.cached = True
-                item.state = DONE
-                self._c_batch_item_cache_hits.inc()
+            if index:
+                # An earlier identical item of this job (or a concurrent
+                # job) may have filled the cache since submission.
+                cached = self._cache.get(item.cache_key)
+                if cached is not None:
+                    item.answer(cached)
+                    self._c_batch_item_cache_hits.inc()
+                    continue
+            now = time.monotonic()
+            if job.deadline_at is not None and now >= job.deadline_at:
+                # Expired before this item started: a well-formed
+                # timeout instead of burning the worker on doomed compute.
+                item.state = TIMEOUT
+                item.error = (
+                    f"deadline of {job.deadline_s:g}s expired before the "
+                    f"operation started ({now - job.submitted_at:.3f}s "
+                    "after submission)"
+                )
                 continue
             item.state = RUNNING
             try:
-                if relation is not None:
-                    payload = run_operation(
-                        relation,
-                        item.operation,
-                        item.canonical_params,
-                        deadline_at=None,
-                        faults=self._faults,
-                        timings=timings,
-                    )
-                else:
-                    payload = self._executor.execute(
-                        job.fingerprint,
-                        item.operation,
-                        item.canonical_params,
-                        deadline_at=None,
-                        trace=job.trace_id,
-                        timings=timings,
-                    )
+                payload = self._executor.execute(
+                    job.fingerprint,
+                    item.operation,
+                    item.canonical_params,
+                    deadline_at=job.deadline_at,
+                    trace=job.trace_id,
+                    timings=timings,
+                )
                 validate_report(payload)
                 if not payload.get("partial") and not payload.get("degraded"):
+                    # Partial (deadline-expired) and degraded (sketch
+                    # fallback) results are never cached: a retry under
+                    # better conditions must recompute the exact answer.
                     self._cache.put(
                         item.cache_key,
                         payload,
@@ -1325,29 +1120,25 @@ class JobQueue:
                 DispatchError,
                 DatasetDegradedError,
             ) as exc:
-                # Cluster-mode infrastructure failure: every remaining
-                # item targets the same dataset, hence the same (dead or
-                # unreachable or degraded) worker path — fail the batch's
-                # pending items together instead of grinding through K
+                # Infrastructure, not the client's fault: a dead worker
+                # process, an unreachable worker, or a dataset that
+                # cannot be loaded.  Every remaining item targets the
+                # same dataset, hence the same worker path, so they
+                # fail together instead of grinding through K
                 # identical failures.
-                item.error = str(exc)
-                item.state = FAILED
                 job.reason = (
                     "worker_crashed"
                     if isinstance(exc, WorkerCrashedError)
-                    else "dataset_degraded"
-                    if isinstance(exc, DatasetDegradedError)
                     else "dispatch_failed"
+                    if isinstance(exc, DispatchError)
+                    else "dataset_degraded"
                 )
-                with self._lock:
-                    self._breakers[item.operation].record_failure()
-                    for operation in job.pending_operations():
-                        self._breakers[operation].record_failure()
-                job._fail_pending(str(exc))
+                self._abort(job, str(exc))
                 break
             except ReproError as exc:
-                # Client error on one item: that item fails, the rest
-                # of the batch keeps going, breaker untouched.
+                # Client errors (bad schema, bad params): only this item
+                # fails and the breaker stays untouched — one misbehaving
+                # client must not trip the pool shut for everyone else.
                 item.error = str(exc)
                 item.state = FAILED
             except Exception as exc:  # never kill a worker thread
@@ -1356,13 +1147,10 @@ class JobQueue:
                 with self._lock:
                     self._breakers[item.operation].record_failure()
                 traceback.print_exc()
-        failed = sum(item.state == FAILED for item in job.items)
-        if failed:
-            job.error = f"{failed} of {len(job.items)} operations failed"
         if timings is not None:
             timings.add("run", time.perf_counter() - run_started)
             job.timings = timings.to_dict()
-        job._finish(FAILED if failed == len(job.items) else DONE)
+        job._settle()
 
     def shutdown(self, *, wait: bool = True) -> None:
         """Stop accepting jobs and (optionally) drain the workers.
@@ -1389,14 +1177,13 @@ class JobQueue:
                 continue
             job.error = "server shut down before the job started"
             job.reason = "shutdown"
-            if isinstance(job, BatchJob):
-                job._fail_pending(job.error)
+            job._fail_pending(job.error)
             with self._lock:
                 if job.inflight_key is not None:
                     self._inflight.pop(job.inflight_key, None)
-                self._c_completed.labels(FAILED).inc()
+                job._settle()
+                self._c_completed.labels(job.state).inc()
                 self._record_finished(job)
-            job._finish(FAILED)
             self._queue.task_done()
         with self._lock:
             workers = [w for w in self._workers if w is not None]

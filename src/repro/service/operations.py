@@ -353,3 +353,38 @@ def run_operation(
         # not necessarily the one an unbounded search would return.
         payload["partial"] = True
     return payload
+
+
+class InProcessExecutor:
+    """Runs operations on the calling thread against the registry.
+
+    The job queue's default executor: the dataset's resident relation
+    (reloaded from snapshot or source if evicted), then
+    :func:`run_operation`.  Its :meth:`execute` has the signature of
+    :meth:`~repro.service.cluster.ClusterSupervisor.execute`, so the
+    job queue makes one compute call whichever executor it holds.
+    """
+
+    def __init__(self, registry, faults: FaultPlan | None = None) -> None:
+        self._registry = registry
+        self._faults = faults if faults is not None else DISABLED
+
+    def execute(
+        self,
+        fingerprint: str,
+        operation: str,
+        params: dict,
+        *,
+        deadline_at: float | None = None,
+        trace: str | None = None,  # noqa: ARG002 - one process, one trace
+        timings=None,
+    ) -> dict:
+        """Run one canonical operation on the dataset; return the report."""
+        return run_operation(
+            self._registry.relation(fingerprint),
+            operation,
+            params,
+            deadline_at=deadline_at,
+            faults=self._faults,
+            timings=timings,
+        )

@@ -970,6 +970,9 @@ class DatasetRegistry:
         with entry._lock:  # one reload per evicted dataset, not per caller
             if entry.relation is not None:
                 return entry.relation
+            # A superseded (appended-over) fingerprint resolved to the
+            # live entry: reload, verify, and re-key under the live one.
+            fingerprint = entry.fingerprint
             # Snapshot first: a zero-parse mmap of the code arrays.  A
             # missing/corrupt snapshot falls through to the CSV source
             # (the corrupt one is quarantined by _load_snapshot_for).

@@ -904,6 +904,47 @@ class TestBatchJobs:
         assert first.wait(30)
         jobs.shutdown()
 
+    def test_batch_token_rejected_for_singleton(self, tmp_path):
+        jobs, fp = self._queue(tmp_path)
+        specs = [{"operation": "decompose", "params": {}}]
+        batch = jobs.submit_batch(fp, specs, idempotency_key="tok")
+        with pytest.raises(ServiceError, match="idempotency_key"):
+            jobs.submit(fp, "decompose", {}, idempotency_key="tok")
+        assert batch.wait(30)
+        jobs.shutdown()
+
+    def test_singleton_token_rejected_for_batch(self, tmp_path):
+        jobs, fp = self._queue(tmp_path)
+        single = jobs.submit(fp, "decompose", {}, idempotency_key="tok")
+        with pytest.raises(ServiceError, match="idempotency_key"):
+            jobs.submit_batch(
+                fp,
+                [{"operation": "decompose", "params": {}}],
+                idempotency_key="tok",
+            )
+        assert single.wait(30)
+        jobs.shutdown()
+
+    def test_default_deadline_bounds_batches(self, tmp_path):
+        registry = DatasetRegistry()
+        fp = registry.register_path(make_csv(tmp_path))[0].fingerprint
+        cache = ResultCache()
+        jobs = JobQueue(registry, cache, workers=1, default_deadline_s=1e-6)
+        try:
+            batch = jobs.submit_batch(fp, [{"operation": "mine", "params": {}}])
+            single = jobs.submit(fp, "mine", {})
+            assert single.deadline_s == 1e-6
+            assert batch.wait(30) and single.wait(30)
+            item = batch.items[0]
+            outcomes = [(item.state, item.result), (single.state, single.result)]
+            for state, result in outcomes:
+                assert state == TIMEOUT or (
+                    state == DONE and result.get("partial") is True
+                ), (state, result)
+            assert len(cache) == 0  # neither outcome is cacheable
+        finally:
+            jobs.shutdown()
+
     def test_batch_counters_in_stats(self, tmp_path):
         jobs, fp = self._queue(tmp_path)
         batch = jobs.submit_batch(

@@ -14,8 +14,8 @@ Covers the PR's three contracts end to end:
   invalidated.
 * **Typed errors.**  Every HTTP failure carries the
   ``{"error": {"code", "message", "retryable", "retry_after_s"}}``
-  envelope with a documented code, on ``/v1/`` and on the deprecated
-  bare aliases alike, and the client maps codes to typed exceptions.
+  envelope with a documented code, a bare path outside ``/v1/`` is a
+  404 ``unknown_route``, and the client maps codes to typed exceptions.
 """
 
 import json
@@ -178,6 +178,24 @@ class TestRegistryAppend:
         assert entry2.chunk_fingerprints == info["chain"]["chunks"]
         assert reborn.relation(new_fp).fingerprint() == new_fp
 
+
+    def test_superseded_fingerprint_reloads_evicted_live_version(
+        self, tmp_path
+    ):
+        # A job queued before an append still holds the old fingerprint;
+        # once the appended relation is evicted, loading it through that
+        # alias must reload the live version, not raise a KeyError.
+        registry = DatasetRegistry(
+            memory_budget_bytes=1, spill_dir=tmp_path / "spill"
+        )
+        entry, _ = registry.register_text(BASE_CSV, name="t")
+        old_fp = entry.fingerprint
+        _, info = registry.append_rows(old_fp, DELTA_ROWS)
+        registry.register_text("X,Y\n1,1\n", name="other")  # evicts "t"
+        assert registry.get(info["fingerprint"]).relation is None
+        relation = registry.relation(old_fp)
+        assert relation.fingerprint() == info["fingerprint"]
+        assert not registry.get(old_fp).degraded
 
 # ----------------------------------------------------------------------
 # HTTP end to end: append endpoint + revalidation
@@ -348,28 +366,22 @@ class TestErrorEnvelope:
     def test_wire_contract_v1_and_legacy(
         self, service, method, path, body, status, code
     ):
-        base = f"http://127.0.0.1:{service.port}"
-        for prefix, legacy in (("/v1", False), ("", True)):
-            request = urllib.request.Request(
-                base + prefix + path,
-                data=(
-                    json.dumps(body).encode() if body is not None else None
-                ),
-                headers={"Content-Type": "application/json"},
-                method=method,
-            )
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(request)
-            response = excinfo.value
-            assert response.code == status
-            document = json.loads(response.read())
-            envelope = document["error"]
-            assert envelope["code"] == code
-            assert isinstance(envelope["message"], str)
-            assert isinstance(envelope["retryable"], bool)
-            assert document["message"] == envelope["message"]
-            deprecated = response.headers.get("Deprecation")
-            assert (deprecated == "true") is legacy
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{service.port}/v1{path}",
+            data=json.dumps(body).encode() if body is not None else None,
+            headers={"Content-Type": "application/json"},
+            method=method,
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request)
+        response = excinfo.value
+        assert response.code == status
+        document = json.loads(response.read())
+        envelope = document["error"]
+        assert envelope["code"] == code
+        assert isinstance(envelope["message"], str)
+        assert isinstance(envelope["retryable"], bool)
+        assert document["message"] == envelope["message"]
 
     def test_get_errors_classified_by_type_not_404(
         self, service, client, monkeypatch
@@ -404,13 +416,12 @@ class TestErrorEnvelope:
         assert exc.retryable is False
         assert exc.retry_after_s is None
 
-    def test_legacy_alias_serves_same_payload(self, service, client):
-        v1 = client.healthz()
-        legacy = ServiceClient(
-            f"http://127.0.0.1:{service.port}", api_version=None
-        ).healthz()
-        assert legacy["status"] == v1["status"]
-        assert set(legacy) == set(v1)
+    def test_bare_route_is_unknown_route(self, client):
+        assert client.healthz()["status"] == "ok"
+        with pytest.raises(UnknownResourceError) as excinfo:
+            client._request("GET", "/healthz")  # the retired bare alias
+        assert excinfo.value.status == 404
+        assert excinfo.value.code == "unknown_route"
 
 
 # ----------------------------------------------------------------------

@@ -77,7 +77,7 @@ class TestDatasetEndpoints:
 
     def test_unparseable_json_400(self, client, service):
         request = urllib.request.Request(
-            f"http://127.0.0.1:{service.port}/datasets",
+            f"http://127.0.0.1:{service.port}/v1/datasets",
             data=b"{not json",
             headers={"Content-Type": "application/json"},
             method="POST",
@@ -91,7 +91,9 @@ class TestDatasetEndpoints:
 
         connection = http.client.HTTPConnection("127.0.0.1", service.port)
         try:
-            connection.putrequest("POST", "/datasets", skip_accept_encoding=True)
+            connection.putrequest(
+                "POST", "/v1/datasets", skip_accept_encoding=True
+            )
             connection.putheader("Content-Length", "abc")
             connection.endheaders()
             response = connection.getresponse()
@@ -361,6 +363,16 @@ class TestBatchEndpoint:
         assert stats["batches"] == 1
         assert stats["batch_items"] == 6
         assert stats["completed_total"]["done"] == 1
+
+    def test_idempotency_token_cannot_cross_job_kinds(self, client, tmp_path):
+        fp = client.register_dataset(path=str(make_csv(tmp_path)))["fingerprint"]
+        client.submit_batch(
+            fp, [{"operation": "decompose"}], idempotency_key="shared-tok"
+        )
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.submit_job(fp, "decompose", idempotency_key="shared-tok")
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "bad_request"
 
     def test_batch_validation_maps_to_400(self, client, tmp_path):
         fp = client.register_dataset(path=str(make_csv(tmp_path)))["fingerprint"]
