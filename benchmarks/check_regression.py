@@ -145,6 +145,34 @@ def fresh_entropy_memo_speedup() -> float:
     return cold_s / warm_s if warm_s else float("inf")
 
 
+def fresh_lattice_counts_speedup() -> float:
+    """Four-output ``np.unique`` vs ``counts()`` over the subset lattice."""
+    import numpy as np
+
+    from repro.core.random_relations import random_relation
+    from test_bench_entropy_engine import (
+        LATTICE_ROUNDS,
+        LATTICE_SIZES,
+        N_ROWS,
+        lattice_counts,
+        lattice_unique,
+    )
+
+    rng = np.random.default_rng(17)
+    store = random_relation(LATTICE_SIZES, N_ROWS, rng).columns()
+
+    # Means over the bench's round count, like the recorded baseline.
+    def mean_of(func):
+        start = time.perf_counter()
+        for _ in range(LATTICE_ROUNDS):
+            func(store)
+        return (time.perf_counter() - start) / LATTICE_ROUNDS
+
+    counts_s = mean_of(lattice_counts)
+    unique_s = mean_of(lattice_unique)
+    return unique_s / counts_s if counts_s else float("inf")
+
+
 _fresh_service_tier: dict | None = None
 
 
@@ -245,12 +273,23 @@ def baseline_jmeasure_speedup() -> float:
     return float(record["tiers"]["n=1e4"]["speedup"])
 
 
-def baseline_entropy_memo_speedup() -> float:
+def _entropy_engine_means() -> dict[str, float]:
+    """Mean seconds per bench in the recorded entropy-engine baseline."""
     doc = _last_record(REPO_ROOT / "BENCH_entropy_engine.json")
-    means = {
+    return {
         bench["name"]: bench["stats"]["mean"] for bench in doc["benchmarks"]
     }
+
+
+def baseline_entropy_memo_speedup() -> float:
+    means = _entropy_engine_means()
     return means["test_bench_entropy_cold"] / means["test_bench_entropy_warm"]
+
+
+def baseline_lattice_counts_speedup() -> float:
+    means = _entropy_engine_means()
+    unique_s = means["test_bench_lattice_unique"]
+    return unique_s / means["test_bench_lattice_counts"]
 
 
 def baseline_streaming_rss_ratio() -> float:
@@ -320,6 +359,13 @@ TRACKED_OPS = {
         baseline_entropy_memo_speedup,
         fresh_entropy_memo_speedup,
         1.5,
+    ),
+    # The counting kernel against a fixed stable-sort yardstick: both
+    # sides are ~0.3-3 s loops of numpy sorts on the same keys.
+    "entropy_engine/lattice_counts_vs_unique_speedup@1e5": (
+        baseline_lattice_counts_speedup,
+        fresh_lattice_counts_speedup,
+        1.0,
     ),
     "streaming/peak_rss_ratio_eager_over_stream@1e5": (
         baseline_streaming_rss_ratio,

@@ -1,19 +1,23 @@
 """Bench E11 — the columnar store and memoizing entropy engine.
 
-Measures the three claims of the columnar backend:
+Measures the claims of the columnar backend:
 
 * **cold vs warm** — a cold entropy query pays one mixed-radix pack +
   group count over the code columns; a warm (memoized) query is a dict
   hit, orders of magnitude cheaper;
 * **columnar vs legacy** — ``projection_counts`` via the column store vs
   the row-at-a-time ``Counter`` reference (``projection_counts_naive``);
-* **engine CMI** — a four-entropy CMI with all terms memoized.
+* **engine CMI** — a four-entropy CMI with all terms memoized;
+* **counting kernel** — a cold ``counts()`` pass over all 255 subsets of
+  8 columns against the same pass through a four-output
+  :func:`numpy.unique` (a fixed stable-sort yardstick kept here only);
+  their ratio is a tracked op of ``check_regression.py``.
 
-Record a baseline with::
-
-    PYTHONPATH=src python -m pytest benchmarks/test_bench_entropy_engine.py \
-        --benchmark-json=BENCH_entropy_engine.json
+Record a baseline with ``make bench-baseline``, which writes
+``BENCH_entropy_engine.json`` (stats only, no per-round timings).
 """
+
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -23,6 +27,13 @@ from repro.info.engine import EntropyEngine
 
 N_ROWS = 100_000
 SIZES = {"A": 128, "B": 64, "C": 16, "D": 8}
+#: The kernel lattice: 8 columns of cardinality 12, every non-empty subset.
+LATTICE_SIZES = {name: 12 for name in "ABCDEFGH"}
+LATTICE_SUBSETS = [
+    subset for r in range(1, 9) for subset in combinations(range(8), r)
+]
+#: Rounds per lattice bench: one unique pass takes seconds at 1e5 rows.
+LATTICE_ROUNDS = 3
 
 
 @pytest.fixture(scope="module")
@@ -83,3 +94,45 @@ def test_bench_projection_count_values(benchmark, relation):
 
     counts = benchmark(run)
     assert int(counts.sum()) == len(relation)
+
+
+@pytest.fixture(scope="module")
+def lattice_store():
+    rng = np.random.default_rng(17)
+    return random_relation(LATTICE_SIZES, N_ROWS, rng).columns()
+
+
+def lattice_counts(store):
+    """Cold group multiplicities of all 255 subsets through the store."""
+    store.clear_cache()
+    return sum(len(store.counts(subset)) for subset in LATTICE_SUBSETS)
+
+
+def lattice_unique(store):
+    """The same pass through a four-output ``np.unique`` (the yardstick)."""
+    total = 0
+    for subset in LATTICE_SUBSETS:
+        uniques, _, _, _ = np.unique(
+            store.packed_key(subset),
+            return_index=True,
+            return_inverse=True,
+            return_counts=True,
+        )
+        total += len(uniques)
+    return total
+
+
+def test_bench_lattice_counts(benchmark, lattice_store):
+    """Cold ``counts()`` over the 255-subset lattice at 1e5 × 8."""
+    groups = benchmark.pedantic(
+        lattice_counts, args=(lattice_store,), rounds=LATTICE_ROUNDS
+    )
+    assert groups > len(LATTICE_SUBSETS)
+
+
+def test_bench_lattice_unique(benchmark, lattice_store):
+    """The lattice through the reference ``np.unique`` call."""
+    groups = benchmark.pedantic(
+        lattice_unique, args=(lattice_store,), rounds=LATTICE_ROUNDS
+    )
+    assert groups > len(LATTICE_SUBSETS)

@@ -4,8 +4,8 @@ A :class:`ColumnStore` factorizes each attribute of a relation exactly once
 into a dense ``int64`` *code* array.  Every multiplicity query over an
 attribute subset — the workhorse behind ``H(Y)``, CMI, and the J-measure —
 then reduces to a mixed-radix pack of the subset's code columns followed by
-one :func:`numpy.bincount` / :func:`numpy.unique` call: no Python-level row
-iteration or tuple hashing.
+one :func:`numpy.bincount` or one sort: no Python-level row iteration or
+tuple hashing.
 
 Column coding picks the cheapest safe representation:
 
@@ -20,10 +20,22 @@ Column coding picks the cheapest safe representation:
   (``1 == True == 1.0`` collapse, exactly as inside the relation's
   ``frozenset`` of rows).
 
-Group results are cached per attribute-position subset: a counts-only
-cache (entropy queries need just multiplicities) and a full
-:class:`GroupIndex` cache (group ids + first-occurrence representatives,
-used by projection, selection, and join-size message passing).
+Grouping picks its kernel by the subset's *radix* (the product of its
+column cardinalities) against :func:`_dense_limit`:
+
+* **counts, radix ≤ limit** — :func:`numpy.bincount` over the packed key;
+* **counts, radix > limit** — :func:`numpy.sort` of the packed key and the
+  run lengths between value changes; no permutation is built;
+* **groups** (ids and representatives, any radix) — one default
+  (unstable) :func:`numpy.argsort`; group ids scatter back through the
+  permutation and each group's first occurrence is the minimum of its
+  run of row indices.
+
+No path runs a stable sort, and every path yields its groups in sorted
+packed-key order, so all of them agree bit-for-bit.  Results are cached
+per attribute-position subset, with one count array per subset: the
+counts-only cache and the :class:`GroupIndex` cache (used by projection,
+selection, and join-size message passing) share it.
 """
 
 from __future__ import annotations
@@ -44,6 +56,24 @@ def _dense_limit(n: int) -> int:
     return max(4 * n, 1024)
 
 
+def _run_starts(sorted_key: np.ndarray) -> np.ndarray:
+    """Offsets where a run of equal values begins in a sorted key."""
+    change = np.empty(sorted_key.shape[0], dtype=bool)
+    change[:1] = True
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=change[1:])
+    return np.flatnonzero(change)
+
+
+def _argsort_runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(perm, starts)``: an unstable argsort of ``key`` and its run starts.
+
+    ``np.minimum.reduceat(perm, starts)`` is each distinct key's exact
+    first occurrence, whatever order the sort left equal keys in.
+    """
+    perm = np.argsort(key)
+    return perm, _run_starts(key[perm])
+
+
 class GroupIndex(NamedTuple):
     """Grouping of the relation's rows by one attribute-position subset.
 
@@ -56,7 +86,8 @@ class GroupIndex(NamedTuple):
         ``int64[G]`` — for each group, the index (into the store's row
         list) of its first occurrence; used to decode representative rows.
     counts:
-        ``int64[G]`` — multiplicity of each group.
+        ``int64[G]`` — multiplicity of each group; read-only, and the
+        same array :meth:`ColumnStore.counts` returns for the subset.
     """
 
     gids: np.ndarray
@@ -272,49 +303,57 @@ class ColumnStore:
     def counts(self, positions: Sequence[int]) -> np.ndarray:
         """Group multiplicities only (the entropy hot path; cached).
 
-        When the subset's radix is dense enough, this is a straight
-        :func:`numpy.bincount` over the packed key — cheaper than the
-        sorting :func:`numpy.unique` that :meth:`groups` needs for ids
-        and representatives.  Count order matches :meth:`groups`.
+        A subset whose radix is at most :func:`_dense_limit` is a straight
+        :func:`numpy.bincount` over the packed key; a wider one sorts the
+        key and takes the run lengths, building no :class:`GroupIndex`.
+        Either way the counts follow sorted packed-key order, like
+        :meth:`groups`, and the array is the one :meth:`groups` shares.
         """
         cache_key = tuple(positions)
         cached = self._counts.get(cache_key)
         if cached is not None:
             return cached
-        group = self._groups.get(cache_key)
-        if group is not None:
-            self._counts[cache_key] = group.counts
-            return group.counts
-        n = len(self.row_list)
+        n = self.n_rows
         radix = 1
         limit = _dense_limit(n)
         for position in cache_key:
             radix *= max(self.cards[position], 1)
             if radix > limit:
                 break
+        key = self.packed_key(cache_key)
         if n and radix <= limit:
-            counts = np.bincount(self.packed_key(cache_key))
+            counts = np.bincount(key)
             counts = counts[counts > 0]
         else:
-            counts = self.groups(cache_key).counts
+            counts = np.diff(_run_starts(np.sort(key)), append=n)
         counts.flags.writeable = False  # shared cached array
         self._counts[cache_key] = counts
         return counts
 
     def groups(self, positions: Sequence[int]) -> GroupIndex:
-        """Group rows by the attribute subset at ``positions`` (cached)."""
+        """Group rows by the attribute subset at ``positions`` (cached).
+
+        One unstable argsort of the packed key; ``counts`` is the
+        subset's shared count array (adopted from :meth:`counts` when
+        that ran first).
+        """
         cache_key = tuple(positions)
         cached = self._groups.get(cache_key)
         if cached is not None:
             return cached
-        key = self.packed_key(cache_key)
-        _, first_index, gids, counts = np.unique(
-            key, return_index=True, return_inverse=True, return_counts=True
-        )
+        perm, starts = _argsort_runs(self.packed_key(cache_key))
+        n = self.n_rows
+        counts = self._counts.get(cache_key)
+        if counts is None:
+            counts = np.diff(starts, append=n)
+            counts.flags.writeable = False  # shared cached array
+            self._counts[cache_key] = counts
+        gids = np.empty(n, dtype=np.int64)
+        gids[perm] = np.repeat(np.arange(len(starts), dtype=np.int64), counts)
         result = GroupIndex(
-            gids=gids.astype(np.int64, copy=False),
-            first_index=first_index.astype(np.int64, copy=False),
-            counts=counts.astype(np.int64, copy=False),
+            gids=gids,
+            first_index=np.minimum.reduceat(perm, starts),
+            counts=counts,
         )
         self._groups[cache_key] = result
         return result

@@ -29,13 +29,14 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.errors import SchemaError, SnapshotError, UnknownAttributeError
-from repro.relations.columns import ColumnStore, _dense_limit
+from repro.relations.columns import ColumnStore, _argsort_runs, _dense_limit
 from repro.relations.schema import RelationSchema, Row, Value
 
 
 def _distinct_row_indices(arr, cards) -> "np.ndarray | None":
-    """First-occurrence indices of the distinct rows of an int code array.
+    """Ascending first-occurrence indices of the distinct rows of a code array.
 
+    Uses the column store's unstable-argsort kernel (no stable sort).
     Returns ``None`` when the mixed-radix key would overflow int64 (the
     caller then falls back to hash-based dedup).
     """
@@ -47,7 +48,8 @@ def _distinct_row_indices(arr, cards) -> "np.ndarray | None":
     key = arr[:, 0]
     for j in range(1, arr.shape[1]):
         key = key * max(cards[j], 1) + arr[:, j]
-    _, idx = np.unique(key, return_index=True)
+    perm, starts = _argsort_runs(key)
+    idx = np.minimum.reduceat(perm, starts)
     idx.sort()
     return idx
 

@@ -1,0 +1,178 @@
+"""Property tests for the column store's grouping kernel.
+
+The reference is :func:`numpy.unique` with ``return_index``,
+``return_inverse`` and ``return_counts`` — a stable-sort grouping that
+lives here only.  The kernel must match it bit-for-bit, dtypes included,
+on both sides of the dense limit and through the ``2^62`` re-compression
+in :meth:`ColumnStore.packed_key`.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.relations.columns import _MAX_PACK, ColumnStore, _dense_limit
+from repro.relations.relation import _distinct_row_indices
+
+#: Cardinalities mixing constant columns with wide ones, so small stores
+#: land on both sides of the dense limit (1024 below 256 rows).
+CARDS = st.sampled_from([1, 2, 3, 7, 40, 300, 1 << 21])
+
+
+def make_store(columns, cards):
+    columns = [np.asarray(c, dtype=np.int64) for c in columns]
+    row_list = tuple(zip(*(c.tolist() for c in columns)))
+    return ColumnStore.from_identity_codes(row_list, columns, cards)
+
+
+@st.composite
+def stores(draw, max_rows=60):
+    cards = draw(st.lists(CARDS, min_size=1, max_size=4))
+    n = draw(st.integers(0, max_rows))
+    # Few distinct codes per column, so wide subsets still repeat keys.
+    columns = []
+    for card in cards:
+        pool = draw(st.lists(st.integers(0, card - 1), min_size=1, max_size=5))
+        column = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        columns.append(column)
+    positions = draw(
+        st.lists(st.integers(0, len(cards) - 1), min_size=1, unique=True)
+    )
+    return make_store(columns, cards), tuple(positions)
+
+
+def reference(key):
+    _, first_index, gids, counts = np.unique(
+        key, return_index=True, return_inverse=True, return_counts=True
+    )
+    return gids, first_index, counts
+
+
+def assert_same(actual, expected):
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual, expected)
+
+
+def assert_groups_match_reference(store, positions):
+    group = store.groups(positions)
+    gids, first_index, counts = reference(store.packed_key(positions))
+    assert_same(group.gids, gids)
+    assert_same(group.first_index, first_index)
+    assert_same(group.counts, counts)
+
+
+def assert_counts_shared(store, positions, counts_first):
+    store.clear_cache()
+    if counts_first:
+        counts = store.counts(positions)
+        group = store.groups(positions)
+    else:
+        group = store.groups(positions)
+        counts = store.counts(positions)
+    _, _, expected = reference(store.packed_key(positions))
+    assert_same(counts, expected)
+    assert counts is group.counts
+    assert store.counts(positions) is counts
+    assert not counts.flags.writeable
+
+
+def reference_distinct(arr):
+    if arr.shape[0] == 0:
+        return np.empty(0, dtype=np.int64)
+    _, first_index = np.unique(arr, axis=0, return_index=True)
+    return np.sort(first_index)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stores())
+def test_groups_match_unique(case):
+    store, positions = case
+    assert_groups_match_reference(store, positions)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stores(), st.booleans())
+def test_counts_equal_and_share_group_counts(case, counts_first):
+    store, positions = case
+    assert_counts_shared(store, positions, counts_first)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stores())
+def test_counts_only_builds_no_group_index(case):
+    store, positions = case
+    store.counts(positions)
+    assert positions not in store._groups
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(1, 6), min_size=1, max_size=4).flatmap(
+        lambda cards: st.tuples(
+            st.just(cards),
+            st.lists(
+                st.tuples(*(st.integers(0, c - 1) for c in cards)), max_size=40
+            ),
+        )
+    )
+)
+def test_distinct_row_indices_match_unique(case):
+    cards, rows = case
+    arr = np.asarray(rows, dtype=np.int64).reshape(len(rows), len(cards))
+    keep = _distinct_row_indices(arr, cards)
+    assert_same(keep, reference_distinct(arr))
+
+
+class TestEdgeCases:
+    @pytest.mark.parametrize("counts_first", [True, False])
+    def test_empty_store(self, counts_first):
+        store = make_store([[], []], [0, 0])
+        assert_groups_match_reference(store, (0, 1))
+        assert_counts_shared(store, (0, 1), counts_first)
+        assert len(store.counts((0,))) == 0
+
+    @pytest.mark.parametrize("counts_first", [True, False])
+    def test_single_row(self, counts_first):
+        store = make_store([[3], [0]], [4, 1])
+        assert_groups_match_reference(store, (0, 1))
+        assert_counts_shared(store, (0, 1), counts_first)
+        assert store.counts((1,)).tolist() == [1]
+
+    def test_constant_columns(self):
+        store = make_store([[0] * 5, [2, 0, 2, 1, 0], [0] * 5], [1, 3, 1])
+        for positions in [(0,), (0, 2), (0, 1, 2), (2, 1)]:
+            assert_groups_match_reference(store, positions)
+            assert_counts_shared(store, positions, True)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("counts_first", [True, False])
+    def test_radix_at_and_past_the_dense_limit(self, extra, counts_first):
+        n = 300
+        limit = _dense_limit(n)
+        card = limit + extra  # one column whose radix is limit or limit+1
+        rng = np.random.default_rng(5)
+        codes = rng.choice([0, 7, card // 2, card - 1], size=n)
+        store = make_store([codes], [card])
+        assert_groups_match_reference(store, (0,))
+        assert_counts_shared(store, (0,), counts_first)
+
+    def test_repack_past_two_to_the_62(self):
+        card = 1 << 21
+        assert card**3 >= _MAX_PACK
+        rng = np.random.default_rng(3)
+        columns = [
+            rng.choice([0, 1, card - 2, card - 1], size=80) for _ in range(3)
+        ]
+        store = make_store(columns, [card] * 3)
+        for positions in [(0, 1, 2), (2, 0, 1)]:
+            assert_groups_match_reference(store, positions)
+            assert_counts_shared(store, positions, True)
+            assert_counts_shared(store, positions, False)
+        rows = np.stack(columns, axis=1)
+        assert _distinct_row_indices(rows, [card] * 3) is None
+        assert_same(
+            _distinct_row_indices(rows[:, :2], [card] * 2),
+            reference_distinct(rows[:, :2]),
+        )

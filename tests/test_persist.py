@@ -112,6 +112,19 @@ class TestRoundTrip:
                 EntropyEngine.for_relation(original).entropy(attrs)
             )
 
+    def test_entropy_queries_do_not_decode_rows(self, tmp_path):
+        original = make_relation(
+            [(i % 5, i % 3, f"v{i % 2}") for i in range(40)],
+            names=["A", "B", "C"],
+        )
+        save_snapshot(original, tmp_path / "snap")
+        reloaded = load_snapshot(tmp_path / "snap")
+        engine = EntropyEngine.for_relation(reloaded)
+        for attrs in (["A"], ["B", "C"], ["A", "B", "C"]):
+            engine.entropy(attrs)
+        engine.cmi(["A"], ["B"], ["C"])
+        assert reloaded.columns()._row_list is None
+
     def test_domains_flag_builds_declared_domains(self, tmp_path):
         original = make_relation([(1, "x"), (5, "y"), (3, "x")])
         save_snapshot(original, tmp_path / "snap")
