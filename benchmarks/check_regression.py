@@ -251,6 +251,22 @@ def fresh_batch_dispatch_speedup() -> float:
     return _fresh_store_metrics()["batch_vs_singleton_dispatch_speedup"]
 
 
+def fresh_csv_ingest_speedup() -> float:
+    """Tuple-route yardstick over ``read_csv`` ingest, 1e5 rows."""
+    import tempfile
+
+    from test_bench_streaming import (
+        INGEST_ROWS,
+        ingest_timings,
+        write_ingest_csv,
+    )
+
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path = Path(tmp) / "ingest.csv"
+        write_ingest_csv(csv_path, INGEST_ROWS, 409)
+        return ingest_timings(csv_path)["speedup"]
+
+
 def fresh_streaming_rss_ratio() -> float:
     """Eager-vs-stream peak-RSS ratio at the streaming smoke tier."""
     import tempfile
@@ -297,6 +313,13 @@ def baseline_streaming_rss_ratio() -> float:
     return float(
         record["tiers"]["n=1e5"]["peak_rss_ratio_eager_over_stream"]
     )
+
+
+def baseline_csv_ingest_speedup() -> float:
+    record = _last_record_with_tier(
+        REPO_ROOT / "BENCH_streaming.json", "csv-ingest n=1e5"
+    )
+    return float(record["tiers"]["csv-ingest n=1e5"]["speedup"])
 
 
 def baseline_service_warm_speedup() -> float:
@@ -370,6 +393,13 @@ TRACKED_OPS = {
     "streaming/peak_rss_ratio_eager_over_stream@1e5": (
         baseline_streaming_rss_ratio,
         fresh_streaming_rss_ratio,
+        1.0,
+    ),
+    # CSV ingest against a fixed tuple-route yardstick: both sides are
+    # ~0.2-2 s of parsing the same file in one process.
+    "streaming/csv_ingest_vs_tuple_reference_speedup@1e5": (
+        baseline_csv_ingest_speedup,
+        fresh_csv_ingest_speedup,
         1.0,
     ),
     # Warm requests are ~ms HTTP round trips, so scheduler noise moves

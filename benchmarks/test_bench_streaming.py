@@ -4,10 +4,15 @@ The "huge input" tier of the out-of-core work: a planted-MVD synthetic
 CSV is generated once per tier, then two **separate subprocesses** load
 and mine it —
 
-* the **eager** path (``read_csv`` → ``infer_integer_domains`` →
-  ``mine_jointree`` on the exact backend), and
-* the **streaming** path (``Relation.from_csv_stream`` with a chunk
-  budget → the same mine with the CountMin/KMV **sketch** backend).
+* the **eager** probe (``read_csv`` at its default chunk size →
+  ``infer_integer_domains`` → ``mine_jointree`` on the exact backend),
+  and
+* the **streaming** probe (``Relation.from_csv_stream`` with a smaller
+  chunk budget → the same mine with the CountMin/KMV **sketch**
+  backend).
+
+Both load through the one columnar CSV route; the probes differ in
+chunk size and entropy backend.
 
 Each probe reports its own peak RSS (``ru_maxrss``) and per-phase wall
 clock, so the two paths' memory high-water marks are independent (a
@@ -19,6 +24,12 @@ eager/stream ratios — to ``BENCH_streaming.json`` at the repo root (see
 The smoke tier (N=1e5) always runs; the full tier (N=1e6, the
 acceptance scenario) is opt-in via ``BENCH_STREAMING_FULL=1`` so plain
 CI bench smoke stays fast.
+
+A second tier times the CSV ingest layer in-process: ``read_csv`` +
+``infer_integer_domains`` + ``columns()`` on 1e5 mostly distinct rows,
+against a fixed tuple-route yardstick defined here (``csv.reader``,
+per-cell coercion, ``Relation(schema, rows)``, ``ColumnStore``), the
+route the library took before CSV ingest became columnar.
 """
 
 from __future__ import annotations
@@ -216,10 +227,102 @@ def test_bench_streaming_vs_eager(label, n_rows, chunk_rows, seed, tmp_path):
     )
 
 
+#: Rows of the ingest tier and the rounds each side is timed (best of).
+INGEST_ROWS = 100_000
+INGEST_ROUNDS = 3
+
+
+def write_ingest_csv(path: Path, n_rows: int, seed: int) -> None:
+    """Mostly distinct rows: six int columns, a float and a string column."""
+    rng = np.random.default_rng(seed)
+    ints = rng.integers(0, 12, size=(n_rows, 6))
+    floats = rng.integers(0, 40, size=n_rows) / 4
+    labels = [f"s{k}" for k in rng.integers(0, 300, size=n_rows).tolist()]
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["A", "B", "C", "D", "E", "F", "G", "H"])
+        writer.writerows(
+            [*row, f, label]
+            for row, f, label in zip(ints.tolist(), floats.tolist(), labels)
+        )
+
+
+def _tuple_route_reference(path: Path):
+    """The yardstick: every cell coerced, every row a tuple, then factorized."""
+    from repro.relations.columns import ColumnStore
+    from repro.relations.relation import Relation
+    from repro.relations.schema import RelationSchema
+
+    def coerce(text):
+        try:
+            return int(text)
+        except ValueError:
+            pass
+        try:
+            return float(text)
+        except ValueError:
+            return text
+
+    with path.open(newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader)
+        rows = [tuple(coerce(v) for v in raw) for raw in reader if raw]
+    relation = Relation(RelationSchema.from_names(header), rows, validate=False)
+    return ColumnStore(tuple(relation.rows()), len(header))
+
+
+def _ingest(path: Path):
+    from repro.relations.io import infer_integer_domains, read_csv
+
+    return infer_integer_domains(read_csv(path)).columns()
+
+
+def ingest_timings(path: Path, rounds: int = INGEST_ROUNDS) -> dict:
+    """Best-of-``rounds`` seconds of the library ingest and the yardstick."""
+
+    def best_of(func):
+        best = float("inf")
+        for _ in range(rounds):
+            start = time.perf_counter()
+            func(path)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    ingest_s = best_of(_ingest)
+    reference_s = best_of(_tuple_route_reference)
+    return {
+        "ingest_s": ingest_s,
+        "tuple_reference_s": reference_s,
+        "speedup": reference_s / ingest_s if ingest_s else float("inf"),
+    }
+
+
+def test_bench_csv_ingest_vs_tuple_reference(tmp_path):
+    csv_path = tmp_path / "ingest.csv"
+    write_ingest_csv(csv_path, INGEST_ROWS, 409)
+    store = _ingest(csv_path)
+    reference = _tuple_route_reference(csv_path)
+    # Same content either way: row count and per-column cardinalities.
+    assert store.n_rows == reference.n_rows
+    assert sorted(store.cards) == sorted(reference.cards)
+    timings = ingest_timings(csv_path)
+    _RECORD["tiers"]["csv-ingest n=1e5"] = {
+        "n_rows_written": INGEST_ROWS,
+        "n_rows_distinct": store.n_rows,
+        **timings,
+    }
+    print(
+        f"\n[csv-ingest n=1e5] read_csv+domains+columns "
+        f"{timings['ingest_s'] * 1e3:.0f}ms vs tuple route "
+        f"{timings['tuple_reference_s'] * 1e3:.0f}ms "
+        f"({timings['speedup']:.2f}x)"
+    )
+
+
 def test_bench_builder_finish_decode():
-    """The vectorized end-of-stream decode in ``ColumnStoreBuilder.finish``
-    vs the per-cell Python lookup loop it replaced (unique-heavy strings,
-    the decode-bound regime)."""
+    """The vectorized row decode of a built store (``ColumnStore.row_list``,
+    run on first tuple-level access) vs a per-cell Python lookup loop
+    (unique-heavy strings, the decode-bound regime)."""
     import numpy as np
 
     from repro.relations.builder import ColumnStoreBuilder
@@ -247,7 +350,7 @@ def test_bench_builder_finish_decode():
     decoders = store._decoders
 
     # The decode both ways, in isolation: one object-array gather per
-    # column vs the per-cell loop finish() used before vectorization.
+    # column vs a per-cell loop.
     start = time.perf_counter()
     vec_columns = [
         np.fromiter(dec, dtype=object, count=len(dec))[col].tolist()

@@ -32,8 +32,8 @@ report core (see :mod:`repro.factorize.report`): ``command``,
 ``strategy``, ``j_measure``, ``rho``, ``wall_time_s``, ``n_rows``,
 ``n_cols``.
 
-All three table-consuming commands take ``--chunk-rows N`` (stream the
-CSV in bounded-memory chunks instead of an eager load) and ``--backend
+All three table-consuming commands take ``--chunk-rows N`` (the most
+data rows the CSV reader holds at once) and ``--backend
 exact|sketch`` (exact columnar entropies, or one-pass CountMin/KMV
 streaming estimates with Miller–Madow correction).  What the sketch
 backend affects differs per command: ``mine`` scores splits and reports
@@ -61,7 +61,7 @@ from repro.factorize.report import base_report
 from repro.info.backends import available_backends, make_backend
 from repro.info.engine import EntropyEngine
 from repro.jointrees.build import jointree_from_schema
-from repro.relations.io import infer_integer_domains, read_csv
+from repro.relations.io import DEFAULT_CHUNK_ROWS, infer_integer_domains
 from repro.relations.relation import Relation
 
 
@@ -82,15 +82,8 @@ def _print_json(payload: dict) -> None:
 
 
 def _load_csv(args: argparse.Namespace) -> Relation:
-    """Load the command's CSV — eagerly, or streamed when ``--chunk-rows``.
-
-    The streamed path (:meth:`Relation.from_csv_stream`) ingests the file
-    in bounded-memory chunks and produces a relation equal to the eager
-    one, with its columnar store pre-seeded from the streamed codes.
-    """
-    if args.chunk_rows is not None:
-        return Relation.from_csv_stream(args.csv, chunk_rows=args.chunk_rows)
-    return read_csv(args.csv)
+    """Load the command's CSV; ``--chunk-rows`` bounds the chunk size."""
+    return Relation.from_csv_stream(args.csv, chunk_rows=args.chunk_rows)
 
 
 def _resolve_backend(args: argparse.Namespace):
@@ -392,9 +385,9 @@ def _add_ingest_options(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="stream the CSV in chunks of N data rows (bounded-memory "
-        "ingestion); also sizes the sketch backend's streaming passes. "
-        "Default: eager load",
+        help="read the CSV in chunks of at most N data rows (bounds "
+        "ingestion memory); also sizes the sketch backend's streaming "
+        f"passes. Default: {DEFAULT_CHUNK_ROWS} CSV rows per chunk",
     )
 
 

@@ -1,9 +1,8 @@
 """Relational algebra substrate: schemas, relation instances, joins.
 
 See :mod:`repro.relations.schema`, :mod:`repro.relations.relation`,
-:mod:`repro.relations.join`, :mod:`repro.relations.io` (eager +
-streaming CSV), and :mod:`repro.relations.builder` (incremental
-columnar ingestion).
+:mod:`repro.relations.join`, :mod:`repro.relations.io` (CSV in and
+out), and :mod:`repro.relations.builder` (the columnar ingest route).
 """
 
 from repro.relations.builder import ColumnStoreBuilder, relation_from_chunks

@@ -1,41 +1,81 @@
-"""Incremental columnar ingestion: build a relation chunk-by-chunk.
+"""Columnar ingestion: build a relation chunk-by-chunk from codes.
 
-:class:`ColumnStoreBuilder` dictionary-codes each column as rows arrive
-and deduplicates **incrementally**, retaining only
+:class:`ColumnStoreBuilder` is the one route by which CSV data becomes a
+relation (:func:`repro.relations.io.read_csv` and
+:meth:`~repro.relations.relation.Relation.from_csv_stream` drain it) and
+the route appends take (:meth:`~repro.relations.relation.Relation.extended_with`).
+Each chunk is dictionary-coded column by column:
 
-* one ``int64`` code array per ingested chunk holding that chunk's
-  *globally new* distinct rows (8 bytes per cell),
-* one ``value → code`` dict plus its ``code → value`` list per column
-  (one entry per distinct value), and
-* one set of seen code-tuples (one entry per distinct row).
+* :meth:`ColumnStoreBuilder.add_tokens` takes raw CSV token rows.  Each
+  column codes its tokens through a ``token → code`` dict that persists
+  across chunks; only a *new distinct* token is coerced and looked up in
+  the column's ``value → code`` encoder, so ``"1"``, ``"01"`` and
+  ``"1.0"`` share one code and keep the first value seen;
+* :meth:`ColumnStoreBuilder.add_rows` takes rows of values.
 
-Dictionary codes are append-only — a value's code never changes once
-assigned — so code-tuples are stable deduplication keys across chunks.
-Peak memory during ingestion is therefore bounded by a single chunk of
-raw Python values plus state proportional to the *distinct* content,
-never the full file's worth of Python tuples that the eager reader
-materializes: a billion-row log with a million distinct rows streams in
-constant + O(distinct) memory.  ``finish()`` decodes the distinct rows
-once and seeds the relation's
-:class:`~repro.relations.columns.ColumnStore` directly from the codes —
-no re-factorization and no end-of-stream dedup pass.
+The value encoders use Python's hash-based equality, exactly like a
+relation's row ``frozenset`` (``1 == True == 1.0`` collapse).
 
-The per-column dict coding uses Python's hash-based equality, exactly
-like the relation's row ``frozenset`` (``1 == True == 1.0`` collapse),
-so the built relation is equal to the eagerly constructed one for any
-chunk size — pinned by the property tests in ``tests/test_streaming.py``.
+Deduplication is vectorized: each chunk's code rows are deduplicated
+together with the distinct rows retained so far by one unstable argsort of
+their mixed-radix keys (:func:`~repro.relations.relation._distinct_row_indices`);
+only when that key would overflow int64 does a hash set of code tuples
+take over.  The builder therefore holds one chunk of raw tokens plus state
+proportional to the *distinct* content — one ``int64`` array of distinct
+code rows and one dictionary entry per distinct token and value — never
+the file's Python tuples.
+
+:meth:`ColumnStoreBuilder.finish` decodes nothing.  It recodes each
+column's distinct values the way the column store codes a column of values
+(:func:`~repro.relations.columns._encode_column`: identity for small
+non-negative ints, sorted for homogeneous numeric or string columns,
+first-seen otherwise), one gather per column, so the count arrays behind
+every entropy are those of factorizing the decoded rows, for any chunk
+size.  The relation's store is seeded from those codes, and its row
+tuples are decoded only when something reads them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from operator import itemgetter
 
 import numpy as np
 
 from repro.errors import SchemaError
-from repro.relations.columns import ColumnStore
+from repro.relations.columns import ColumnStore, _encode_column
+from repro.relations.io import _coerce
 from repro.relations.relation import _distinct_row_indices
 from repro.relations.schema import RelationSchema, Row
+
+
+def _canonical_column(
+    codes: np.ndarray, values: list, n_rows: int
+) -> tuple[np.ndarray, int, list]:
+    """Recode one column; return ``(codes, card, decoder)``.
+
+    ``codes`` index ``values``, the column's values in first-seen order.
+    The result codes the present values as :func:`_encode_column` codes
+    them and ``decoder[code]`` is the original value; a code no value
+    takes (identity coding admits gaps) decodes to the code itself.
+    """
+    present = np.zeros(len(values), dtype=bool)
+    present[codes] = True
+    if not present.all():  # values an appended-to store no longer holds
+        kept = np.flatnonzero(present)
+        compact = np.zeros(len(values), dtype=np.int64)
+        compact[kept] = np.arange(len(kept))
+        codes = compact[codes]
+        values = [values[c] for c in kept.tolist()]
+    target, card, _ = _encode_column(values, n_rows)
+    if card < len(values):
+        # numpy merged values Python keeps apart (2**53 + 1 vs 2.0**53):
+        # keep them apart in first-seen order.
+        target, card = np.arange(len(values)), len(values)
+    decoder = list(range(card))
+    for value, code in zip(values, target.tolist()):
+        decoder[code] = value
+    return target[codes], card, decoder
 
 
 class ColumnStoreBuilder:
@@ -45,21 +85,24 @@ class ColumnStoreBuilder:
     --------
     >>> from repro.relations.schema import RelationSchema
     >>> builder = ColumnStoreBuilder(2)
-    >>> builder.add_rows([(1, "x"), (2, "y")])
-    >>> builder.add_rows([(1, "x"), (3, "z")])
+    >>> builder.add_tokens([["1", "x"], ["2", "y"]])
+    >>> builder.add_rows([(1.0, "x"), (3, "z")])
     >>> r = builder.finish(RelationSchema.from_names(["A", "B"]))
     >>> len(r)  # duplicates collapse, like Relation(...)
     3
+    >>> sorted(r.rows())
+    [(1, 'x'), (2, 'y'), (3, 'z')]
     """
 
     def __init__(self, arity: int) -> None:
         if arity < 1:
             raise SchemaError(f"arity must be >= 1, got {arity}")
         self._arity = arity
+        self._tokens: list[dict] = [{} for _ in range(arity)]
         self._encoders: list[dict] = [{} for _ in range(arity)]
         self._decoders: list[list] = [[] for _ in range(arity)]
-        self._chunks: list[np.ndarray] = []
-        self._seen: set[tuple[int, ...]] = set()
+        self._distinct = np.empty((0, arity), dtype=np.int64)
+        self._seen: set[tuple[int, ...]] | None = None
         self._n = 0
         self._finished = False
 
@@ -68,13 +111,11 @@ class ColumnStoreBuilder:
         """Seed a builder with an existing relation's coded content.
 
         The delta-ingest primitive: the relation's columnar store is
-        adopted *as codes* — its rows become the builder's first chunk
-        and its dictionaries become the builder's encoders — so
-        appending rows extends the dictionary coding instead of
-        re-factorizing the resident data.  Dictionary codes stay
-        append-only (an existing value keeps its code; new values take
-        the next free one), which is what makes ``finish()`` equal to a
-        from-scratch ingest of the concatenated rows for any chunking.
+        adopted *as codes* — its rows become the builder's distinct rows
+        and its dictionaries become the builder's encoders — so appending
+        rows extends the dictionary coding instead of re-factorizing the
+        resident data; ``finish()`` then recodes canonically, so the
+        result equals a from-scratch ingest of the concatenated rows.
 
         Encoders are rebuilt from dense per-column ``code → value``
         decoders (:func:`repro.relations.persist._derive_decoders`):
@@ -93,15 +134,13 @@ class ColumnStoreBuilder:
             for decoder in builder._decoders
         ]
         if store.n_rows:
-            base = np.stack(
+            builder._distinct = np.stack(
                 [
                     np.asarray(store.codes[j], dtype=np.int64)
                     for j in range(arity)
                 ],
                 axis=1,
             )
-            builder._chunks = [base]
-            builder._seen = set(map(tuple, base.tolist()))
         builder._n = store.n_rows
         return builder
 
@@ -113,54 +152,92 @@ class ColumnStoreBuilder:
     @property
     def rows_distinct(self) -> int:
         """Number of distinct rows retained so far."""
-        return len(self._seen)
+        return len(self._distinct)
 
     def cardinalities(self) -> tuple[int, ...]:
         """Distinct values seen per column so far."""
         return tuple(len(d) for d in self._decoders)
 
+    def _code(self, position: int, value) -> int:
+        """The code of ``value`` in one column, assigning the next if new."""
+        encoder = self._encoders[position]
+        code = encoder.get(value)
+        if code is None:
+            decoder = self._decoders[position]
+            code = encoder[value] = len(decoder)
+            decoder.append(value)
+        return code
+
+    def add_tokens(
+        self, rows: Iterable[Sequence[str]], typed: bool = True
+    ) -> None:
+        """Ingest one chunk of raw CSV token rows.
+
+        Each column codes its tokens through a ``token → code`` dict kept
+        across chunks; with ``typed``, each new distinct token is coerced
+        once (ints and floats where they parse cleanly), and without it
+        the token is the value.  Only integer codes of the chunk's
+        globally new distinct rows are retained.
+        """
+        self._add(rows, self._tokens, _coerce if typed else None)
+
     def add_rows(self, rows: Iterable[Sequence]) -> None:
-        """Ingest one chunk of row tuples.
+        """Ingest one chunk of row tuples of values.
 
         Only integer codes of the chunk's globally new distinct rows (and
         any newly seen dictionary values) are retained; the chunk's
         Python objects can be garbage-collected by the caller immediately
         after this returns.
         """
+        self._add(rows, self._encoders, None)
+
+    def _add(self, rows, lookups: list[dict], convert) -> None:
+        """Code one chunk column by column through the ``lookups[j]`` dicts.
+
+        A cell new to its column's lookup is converted by ``convert``
+        (when given) and coded by the column's value encoder.
+        """
         if self._finished:
             raise SchemaError("builder already finished")
         rows = rows if isinstance(rows, list) else list(rows)
+        bad = set(map(len, rows)) - {self._arity}
+        if bad:
+            raise SchemaError(
+                f"row has {min(bad)} fields, builder expects {self._arity}"
+            )
         if not rows:
             return
-        arity = self._arity
-        for row in rows:
-            if len(row) != arity:
-                raise SchemaError(
-                    f"row has {len(row)} fields, builder expects {arity}"
+        coded = []
+        for j, lookup in enumerate(lookups):
+            # itemgetter, not zip(*rows): zip holds one tracked iterator
+            # per row, which drives full garbage collections.
+            column = list(map(itemgetter(j), rows))
+            for cell in dict.fromkeys(column):
+                if cell not in lookup:
+                    lookup[cell] = self._code(
+                        j, cell if convert is None else convert(cell)
+                    )
+            coded.append(
+                np.fromiter(map(lookup.__getitem__, column), np.int64, len(rows))
+            )
+        self._add_codes(coded)
+
+    def _add_codes(self, columns: list[np.ndarray]) -> None:
+        """Retain the globally new distinct rows of one coded chunk."""
+        chunk = np.stack(columns, axis=1)
+        self._n += chunk.shape[0]
+        if self._seen is None:
+            # Retained rows come first and are distinct, so the ascending
+            # first occurrences keep them all, then the chunk's new rows.
+            combined = np.concatenate([self._distinct, chunk])
+            keep = _distinct_row_indices(combined, self.cardinalities())
+            if keep is not None:
+                self._distinct = (
+                    combined if len(keep) == len(combined) else combined[keep]
                 )
-        self._n += len(rows)
-        columns = zip(*rows)
-        arrays = []
-        for j, column in enumerate(columns):
-            encoder = self._encoders[j]
-            decoder = self._decoders[j]
-            get = encoder.get
-            codes = [0] * len(rows)
-            for i, value in enumerate(column):
-                code = get(value)
-                if code is None:
-                    code = len(encoder)
-                    encoder[value] = code
-                    decoder.append(value)
-                codes[i] = code
-            arrays.append(np.asarray(codes, dtype=np.int64))
-        chunk = np.stack(arrays, axis=1)
-        # Vectorized within-chunk dedup first (cheap), then the global
-        # seen-set filters only the chunk's distinct rows.  Codes are
-        # append-only, so code-tuples are stable keys across chunks.
-        keep = _distinct_row_indices(chunk, self.cardinalities())
-        if keep is not None and len(keep) != chunk.shape[0]:
-            chunk = chunk[keep]
+                return
+            # The mixed-radix key would overflow int64: hash from here on.
+            self._seen = set(map(tuple, self._distinct.tolist()))
         seen = self._seen
         fresh = []
         for row in map(tuple, chunk.tolist()):
@@ -168,15 +245,18 @@ class ColumnStoreBuilder:
                 seen.add(row)
                 fresh.append(row)
         if fresh:
-            self._chunks.append(np.asarray(fresh, dtype=np.int64))
+            self._distinct = np.concatenate(
+                [self._distinct, np.asarray(fresh, dtype=np.int64)]
+            )
 
     def finish(self, schema: RelationSchema):
-        """Decode the accumulated distinct rows and assemble the relation.
+        """Assemble the relation from the distinct code rows; decode nothing.
 
         No dedup pass runs here — rows were deduplicated as they arrived.
-        The relation's columnar store is seeded from the accumulated
-        codes (dict coding), so downstream entropy/grouping queries skip
-        per-column factorization entirely.
+        Each column is recoded canonically (see the module docstring) and
+        the relation's columnar store is seeded from the result, so
+        downstream entropy/grouping queries skip per-column factorization
+        and the row tuples are decoded only on tuple-level access.
         """
         from repro.relations.relation import Relation
 
@@ -188,42 +268,20 @@ class ColumnStoreBuilder:
                 f"schema has {schema.arity} attributes, builder was sized "
                 f"for {self._arity}"
             )
-        if not self._seen:
+        arr = self._distinct
+        n_rows = len(arr)
+        if not n_rows:
             return Relation(schema, [], validate=False)
-        self._seen = set()  # release the dedup set before decoding
-        arr = (
-            self._chunks[0]
-            if len(self._chunks) == 1
-            else np.concatenate(self._chunks)
-        )
-        self._chunks = []  # release per-chunk arrays
-        cards = [len(d) for d in self._decoders]
-        decoded_columns = []
+        columns, cards, decoders = [], [], []
         for j in range(self._arity):
-            decoder = self._decoders[j]
-            # One object-array fancy index per column instead of a
-            # per-cell Python lookup loop: the decode is a single
-            # vectorized gather (~4x faster on wide unique-heavy data).
-            dec_arr = np.fromiter(decoder, dtype=object, count=len(decoder))
-            decoded_columns.append(dec_arr[arr[:, j]].tolist())
-        row_list = tuple(zip(*decoded_columns))
-        rows = frozenset(row_list)
-        if len(rows) != len(row_list):  # cannot happen (distinct codes decode
-            # to pairwise-distinct values); guard anyway, mirroring from_codes
-            return Relation(schema, rows, validate=False)
-        relation = Relation.__new__(Relation)
-        relation._schema = schema
-        relation._rows = rows
-        relation._engine = None
-        relation._eval = None
-        relation._fingerprint = None
-        relation._store = ColumnStore.from_coded_columns(
-            row_list,
-            [np.ascontiguousarray(arr[:, j]) for j in range(self._arity)],
-            cards,
-            [list(d) for d in self._decoders],
-        )
-        return relation
+            codes, card, decoder = _canonical_column(
+                arr[:, j], self._decoders[j], n_rows
+            )
+            columns.append(codes)
+            cards.append(card)
+            decoders.append(decoder)
+        store = ColumnStore.from_coded_columns(None, columns, cards, decoders)
+        return Relation._from_store(schema, store)
 
 
 def relation_from_chunks(

@@ -95,7 +95,9 @@ class GroupIndex(NamedTuple):
     counts: np.ndarray
 
 
-def _encode_column(values: Sequence) -> tuple[np.ndarray, int, object]:
+def _encode_column(
+    values: Sequence, n_rows: int | None = None
+) -> tuple[np.ndarray, int, object]:
     """Encode one column; return ``(codes, card, decoder)``.
 
     ``card`` is an exclusive upper bound on the codes (the mixed-radix
@@ -104,8 +106,14 @@ def _encode_column(values: Sequence) -> tuple[np.ndarray, int, object]:
     * ``None``   — identity coding (value *is* the code);
     * ``list``   — ``decoder[code] = value`` (``numpy.unique`` path);
     * ``dict``   — a ready ``value → code`` encoder (dict fallback).
+
+    ``n_rows`` is the row count that sets the identity-coding limit
+    (:func:`_dense_limit`); it defaults to ``len(values)`` and differs
+    only when ``values`` are a column's distinct values
+    (:meth:`repro.relations.builder.ColumnStoreBuilder.finish`).
     """
     n = len(values)
+    limit = _dense_limit(n if n_rows is None else n_rows)
     candidate = None
     try:
         arr = np.asarray(values)
@@ -121,7 +129,7 @@ def _encode_column(values: Sequence) -> tuple[np.ndarray, int, object]:
                 return codes, 0, None
             lo = int(codes.min())
             hi = int(codes.max())
-            if lo >= 0 and hi < _dense_limit(n):
+            if lo >= 0 and hi < limit:
                 return codes, hi + 1, None  # identity coding: no unique
             uniques, inverse = np.unique(codes, return_inverse=True)
             return (
@@ -153,7 +161,9 @@ def _encode_column(values: Sequence) -> tuple[np.ndarray, int, object]:
 class ColumnStore:
     """Integer-coded columns plus per-subset grouping caches.
 
-    Built lazily (and exactly once) by
+    Seeded from coded columns by the CSV builder and the snapshot loader
+    (rows then decode only on demand), or factorized lazily (and exactly
+    once) from the rows of a relation built in code by
     :meth:`repro.relations.relation.Relation.columns`; immutable
     thereafter, like the relation itself, so cached groupings never need
     invalidation.
@@ -250,18 +260,53 @@ class ColumnStore:
         """The decoded row tuples (decoded lazily, once, from the codes)."""
         row_list = self._row_list
         if row_list is None:
-            decoded = []
-            for codes, decoder in zip(self.codes, self._decoders):
-                if decoder is None:  # identity coding: value == code
-                    decoded.append(np.asarray(codes).tolist())
-                else:
-                    dec_arr = np.fromiter(
-                        decoder, dtype=object, count=len(decoder)
-                    )
-                    decoded.append(dec_arr[np.asarray(codes)].tolist())
+            decoded = [
+                self._decode(j, codes) for j, codes in enumerate(self.codes)
+            ]
             row_list = tuple(zip(*decoded)) if self.n_rows else ()
             self._row_list = row_list
         return row_list
+
+    def _decode(self, position: int, codes: np.ndarray) -> list:
+        """The values of ``codes`` in one column (one vectorized gather)."""
+        decoder = self._decoders[position]
+        codes = np.asarray(codes)
+        if decoder is None:  # identity coding: value == code
+            return codes.tolist()
+        dec_arr = np.fromiter(decoder, dtype=object, count=len(decoder))
+        return dec_arr[codes].tolist()
+
+    def decode_rows(
+        self, indices: np.ndarray, positions: Sequence[int]
+    ) -> list[tuple]:
+        """The rows at ``indices``, restricted to ``positions``.
+
+        Reads the decoded :attr:`row_list` when it exists; otherwise
+        decodes only the requested cells from the codes, so a projection
+        of a store seeded from coded columns never decodes every row.
+        """
+        row_list = self._row_list
+        if row_list is None:
+            return list(
+                zip(*(self._decode(p, self.codes[p][indices]) for p in positions))
+            )
+        rows = map(row_list.__getitem__, indices.tolist())
+        if len(positions) == 1:
+            single = positions[0]
+            return [(row[single],) for row in rows]
+        return [tuple(row[p] for p in positions) for row in rows]
+
+    def present_values(self, position: int) -> list:
+        """The distinct values of one column, read from its decoder.
+
+        Only meaningful for stores seeded from coded columns
+        (:meth:`from_coded_columns`), whose decoders hold the original
+        values; a store factorized from rows may canonicalize them
+        (``True`` → ``1``, an int in a float column → float).
+        """
+        codes = self.codes[position]
+        present = np.bincount(codes, minlength=self.cards[position])
+        return self._decode(position, np.flatnonzero(present))
 
     def __len__(self) -> int:
         return self.n_rows

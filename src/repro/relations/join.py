@@ -254,8 +254,7 @@ def _acyclic_join_size_dense(
     dict paths then take over).
     """
     store = relation.columns()
-    n = len(store.row_list)
-    limit = _dense_limit(n)
+    limit = _dense_limit(store.n_rows)
     node_ids = jointree.node_ids()
     plans: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
     for node in node_ids:

@@ -51,6 +51,7 @@ import numpy as np
 
 from repro.errors import SnapshotError
 from repro.relations.columns import ColumnStore
+from repro.relations.io import _NAN
 from repro.relations.schema import Attribute, RelationSchema
 
 FORMAT_NAME = "repro-columnar-snapshot"
@@ -174,11 +175,14 @@ def _untag_value(tagged):
         return payload
     if kind == "f":
         try:
-            return float(payload)
+            value = float(payload)
         except (TypeError, ValueError) as exc:
             raise SnapshotError(
                 f"malformed float decoder value {tagged!r}"
             ) from exc
+        # The CSV reader's one NaN, so values appended after a reload
+        # find the NaN code instead of taking a new one.
+        return _NAN if value != value else value
     if not isinstance(payload, str):
         raise SnapshotError(f"malformed str decoder value {tagged!r}")
     return payload
@@ -199,9 +203,13 @@ def _derive_decoders(relation) -> list[list]:
     internal decoders) so identity- and unique-coded columns recover
     the *original* Python objects (an int column ingested as float64 by
     numpy would otherwise decode ``2`` as ``2.0``).  Codes never hit by
-    any row (identity coding admits gaps) decode to the code itself.
+    any row (identity coding admits gaps) decode to the code itself.  A
+    relation whose rows are undecoded was seeded from coded columns (a
+    CSV or snapshot load), whose decoders already are exactly that.
     """
     store = relation.columns()
+    if relation._row_cache is None:
+        return [list(decoder) for decoder in store._decoders]
     row_list = store.row_list
     n = len(row_list)
     decoders: list[list] = []
@@ -515,16 +523,12 @@ def _assemble(
     schema = (
         RelationSchema(attrs) if domains else RelationSchema.from_names(names)
     )
-    relation = Relation.__new__(Relation)
-    relation._schema = schema
-    relation._rows = rows
-    relation._engine = None
-    relation._eval = None
-    relation._fingerprint = expected_fingerprint
-    relation._store = ColumnStore.from_coded_columns(
-        row_list, columns, cards, decoders
+    return Relation._from_store(
+        schema,
+        ColumnStore.from_coded_columns(row_list, columns, cards, decoders),
+        rows=rows,
+        fingerprint=expected_fingerprint,
     )
-    return relation
 
 
 def load_snapshot(
@@ -777,7 +781,7 @@ def hydrate_relation(
     route produces the expected content.
     """
     from repro.info.engine import EntropyEngine
-    from repro.relations.io import infer_integer_domains, read_csv
+    from repro.relations.io import infer_integer_domains
     from repro.relations.relation import Relation
 
     if snapshot_path is not None:
@@ -801,11 +805,7 @@ def hydrate_relation(
                 return relation, "snapshot"
     if source is not None:
         try:
-            loaded = (
-                Relation.from_csv_stream(source, chunk_rows=chunk_rows)
-                if chunk_rows is not None
-                else read_csv(source)
-            )
+            loaded = Relation.from_csv_stream(source, chunk_rows=chunk_rows)
         except OSError as exc:
             raise SnapshotError(
                 f"dataset {expected_fingerprint} has no loadable snapshot "

@@ -6,17 +6,26 @@ finite *set* of tuples (no duplicates).  Projections return relations
 each value — is exposed via :meth:`Relation.projection_counts`, which is the
 workhorse for all empirical-entropy computations.
 
-Internally a relation lazily materializes a **columnar store**
-(:class:`repro.relations.columns.ColumnStore`): each attribute is
-factorized once into a dense ``int64`` code array, after which every
-multiplicity query over any attribute subset (``projection_counts``,
+Internally a relation holds a **columnar store**
+(:class:`repro.relations.columns.ColumnStore`): each attribute as a dense
+``int64`` code array, after which every multiplicity query over any
+attribute subset (``projection_counts``,
 :meth:`Relation.projection_count_values`, :meth:`Relation.projection_size`,
 :meth:`Relation.project`, :meth:`Relation.select_eq`) is a vectorized
-mixed-radix pack + ``numpy.unique`` — no per-row Python iteration.  The
-tuple-based API (:meth:`rows`, set operations, iteration) is unchanged and
-remains the source of truth; columns are derived from it and cached for
-the relation's lifetime (relations are immutable, so the cache never
-needs invalidation).
+mixed-radix pack + one ``bincount`` or sort — no per-row Python iteration.
+
+The store comes from one of two places, and is cached for the relation's
+lifetime either way (relations are immutable, so it never needs
+invalidation):
+
+* a relation built in code from row tuples factorizes its rows into
+  columns on first columnar use;
+* a relation loaded from a CSV (:meth:`Relation.from_csv_stream`) or a
+  snapshot (:meth:`Relation.load_snapshot`) *starts* as coded columns,
+  and its row tuples are decoded from them only on first tuple-level
+  access (:meth:`rows`, set operations, iteration).  Projections and
+  selections decode only the rows they return, active domains read the
+  decoders, and the entropy work behind mining never decodes a row.
 """
 
 from __future__ import annotations
@@ -114,12 +123,12 @@ class Relation:
 
     @property
     def _rows(self) -> frozenset:
-        """The row set, decoded lazily for snapshot-loaded relations.
+        """The row set, decoded lazily for CSV- and snapshot-loaded relations.
 
-        A relation loaded from a columnar snapshot carries only its coded
-        store (``_row_cache is None``); the Python row tuples are decoded
-        on first tuple-level access, so store-level queries (entropies,
-        groupings) never pay for them.
+        A relation loaded from a CSV or a columnar snapshot carries only
+        its coded store (``_row_cache is None``); the Python row tuples
+        are decoded on first tuple-level access, so store-level queries
+        (entropies, groupings) never pay for them.
         """
         rows = self._row_cache
         if rows is None:
@@ -140,6 +149,31 @@ class Relation:
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
+    @classmethod
+    def _from_store(
+        cls,
+        schema: RelationSchema,
+        store: ColumnStore | None,
+        *,
+        rows: frozenset | None = None,
+        fingerprint: str | None = None,
+    ) -> "Relation":
+        """A relation over ``schema`` with a ready store and/or row set.
+
+        ``rows=None`` leaves the row tuples undecoded until tuple-level
+        access (``store`` is then required); ``store=None`` factorizes
+        ``rows`` lazily.  The caller guarantees the store's rows are
+        pairwise distinct and, when given, equal to ``rows``.
+        """
+        relation = cls.__new__(cls)
+        relation._schema = schema
+        relation._rows = rows
+        relation._store = store
+        relation._engine = None
+        relation._eval = None
+        relation._fingerprint = fingerprint
+        return relation
+
     @classmethod
     def from_named_rows(
         cls, schema: RelationSchema, rows: Iterable[dict[str, Value]]
@@ -196,21 +230,14 @@ class Relation:
         rows = frozenset(row_list)
         if len(rows) != n:  # caller lied about distinctness: rebuild safely
             return cls(schema, rows, validate=False)
-        relation = cls.__new__(cls)
-        relation._schema = schema
-        relation._rows = rows
-        relation._engine = None
-        relation._eval = None
-        relation._fingerprint = None
+        store = None  # lazily re-factorized on demand
         if n and max(cards) < _dense_limit(n):
-            relation._store = ColumnStore.from_identity_codes(
+            store = ColumnStore.from_identity_codes(
                 row_list,
                 [np.ascontiguousarray(arr[:, j]) for j in range(arr.shape[1])],
                 cards,
             )
-        else:
-            relation._store = None  # lazily re-factorized on demand
-        return relation
+        return cls._from_store(schema, store, rows=rows)
 
     @classmethod
     def from_csv(
@@ -220,14 +247,12 @@ class Relation:
         typed: bool = True,
         delimiter: str = ",",
     ) -> "Relation":
-        """Eagerly load a relation from a CSV file (header row = schema).
+        """Load a relation from a CSV file (header row = schema).
 
-        Thin alias of :func:`repro.relations.io.read_csv`, provided for
-        symmetry with :meth:`from_csv_stream`.
+        Alias of :meth:`from_csv_stream` with the default chunk size (and
+        so of :func:`repro.relations.io.read_csv`).
         """
-        from repro.relations.io import read_csv
-
-        return read_csv(path, typed=typed, delimiter=delimiter)
+        return cls.from_csv_stream(path, typed=typed, delimiter=delimiter)
 
     @classmethod
     def from_csv_stream(
@@ -238,34 +263,36 @@ class Relation:
         typed: bool = True,
         delimiter: str = ",",
     ) -> "Relation":
-        """Stream a CSV file into a relation with bounded ingestion memory.
+        """Load a CSV file into a relation with bounded ingestion memory.
 
-        Reads the file in chunks of ``chunk_rows`` data rows
-        (:func:`repro.relations.io.iter_csv_chunks`) and dictionary-codes
-        each chunk into an incremental
-        :class:`~repro.relations.builder.ColumnStoreBuilder`, so peak
-        memory during ingestion is one chunk of raw values plus the
-        accumulated ``int64`` codes — never the whole file's Python
-        tuples.  The result is equal to ``read_csv(path)`` (same schema,
-        same row set, same coercion) for **every** chunk size, and its
-        columnar store is pre-seeded from the streamed codes.
+        The one CSV ingest route (:func:`repro.relations.io.read_csv` is
+        this with the default chunk size).  Reads the file in chunks of
+        at most ``chunk_rows`` data rows and feeds each chunk's raw tokens
+        to a :class:`~repro.relations.builder.ColumnStoreBuilder`, which
+        codes each column through a token dict and coerces each distinct
+        token once.  Peak memory during ingestion is one chunk of tokens
+        plus state proportional to the *distinct* content — never the
+        whole file's Python tuples.  The result is the same relation,
+        with the same codes, for **every** chunk size; its columnar store
+        is seeded from the codes and its row tuples are decoded only on
+        first tuple-level access.
         """
         from repro.relations.builder import ColumnStoreBuilder
-        from repro.relations.io import DEFAULT_CHUNK_ROWS, iter_csv_chunks
+        from repro.relations.io import DEFAULT_CHUNK_ROWS, _token_chunks
 
-        if chunk_rows is None:
-            chunk_rows = DEFAULT_CHUNK_ROWS
         builder: ColumnStoreBuilder | None = None
         schema: RelationSchema | None = None
-        for chunk in iter_csv_chunks(
-            path, chunk_rows=chunk_rows, typed=typed, delimiter=delimiter
+        for header, rows in _token_chunks(
+            path,
+            chunk_rows=DEFAULT_CHUNK_ROWS if chunk_rows is None else chunk_rows,
+            delimiter=delimiter,
         ):
             if builder is None:
                 # Validate the schema before ingesting data, so a bad
                 # header fails fast instead of after gigabytes of rows.
-                schema = RelationSchema.from_names(chunk.header)
+                schema = RelationSchema.from_names(header)
                 builder = ColumnStoreBuilder(schema.arity)
-            builder.add_rows(chunk.rows)
+            builder.add_tokens(rows, typed=typed)
         assert builder is not None and schema is not None  # >= 1 chunk always
         return builder.finish(schema)
 
@@ -384,11 +411,11 @@ class Relation:
     # Columnar backend
     # ------------------------------------------------------------------
     def columns(self) -> ColumnStore:
-        """The relation's columnar store (built lazily, once).
+        """The relation's columnar store (seeded at load, or built once).
 
-        Each attribute is factorized into a dense ``int64`` code array;
-        multiplicity queries over attribute subsets are answered by
-        mixed-radix packing + ``numpy.unique`` and cached per subset.
+        Each attribute is a dense ``int64`` code array; multiplicity
+        queries over attribute subsets are answered by mixed-radix packing
+        + one ``bincount`` or sort and cached per subset.
         Advanced API — most callers want :meth:`projection_counts`,
         :meth:`projection_count_values`, or
         :class:`repro.info.engine.EntropyEngine`.
@@ -398,6 +425,19 @@ class Relation:
             store = ColumnStore(tuple(self._rows), self._schema.arity)
             self._store = store
         return store
+
+    def release_engines(self) -> None:
+        """Forget the entropy engine and evaluation context cached here.
+
+        Both refer back to the relation, so while cached they keep it —
+        with its columnar caches — alive until a full garbage collection
+        finds the cycle.  A holder retiring a relation (a superseded or
+        evicted dataset version) calls this so reference counting frees
+        it as soon as the last user lets go; a later query on the
+        relation simply builds new ones.
+        """
+        self._engine = None
+        self._eval = None
 
     def _group_index(self, names: Iterable[str]):
         """Canonicalize ``names`` and group rows by them (columnar)."""
@@ -426,7 +466,8 @@ class Relation:
         in this relation's schema), so projections onto equal sets are
         equal relations.  Computed columnar: one group-by over the code
         columns, then only the ``G`` distinct representatives are
-        materialized as tuples (instead of re-hashing all ``N`` rows).
+        materialized as tuples (instead of re-hashing all ``N`` rows), so
+        an undecoded relation stays undecoded.
         """
         ordered = self._schema.canonical_order(names)
         if ordered == self._schema.names:
@@ -442,16 +483,8 @@ class Relation:
                 validate=False,
             )
         positions = self._schema.indices(ordered)
-        group = self.columns().groups(positions)
-        row_list = self.columns().row_list
-        if len(positions) == 1:
-            single = positions[0]
-            out_rows = [(row_list[i][single],) for i in group.first_index.tolist()]
-        else:
-            out_rows = [
-                tuple(row_list[i][p] for p in positions)
-                for i in group.first_index.tolist()
-            ]
+        store = self.columns()
+        out_rows = store.decode_rows(store.groups(positions).first_index, positions)
         return Relation(self._schema.project(ordered), out_rows, validate=False)
 
     def projection_counts(self, names: Iterable[str]) -> Counter[Row]:
@@ -460,21 +493,12 @@ class Relation:
         This is the empirical-distribution workhorse: the marginal
         probability of ``y`` is ``counts[y] / N`` (Section 2.2 of the
         paper).  Computed from the columnar store: grouping is one
-        vectorized ``numpy.unique`` over packed code columns; only the
-        distinct groups are decoded back into value tuples.
+        vectorized sort over packed code columns; only the distinct
+        groups' representatives are decoded back into value tuples.
         """
-        ordered, positions, group = self._group_index(names)
-        row_list = self.columns().row_list
-        counts = group.counts.tolist()
-        first = group.first_index.tolist()
-        if len(positions) == 1:
-            single = positions[0]
-            keys = [(row_list[i][single],) for i in first]
-        elif ordered == self._schema.names:
-            keys = [row_list[i] for i in first]
-        else:
-            keys = [tuple(row_list[i][p] for p in positions) for i in first]
-        return Counter(dict(zip(keys, counts)))
+        _, positions, group = self._group_index(names)
+        keys = self.columns().decode_rows(group.first_index, positions)
+        return Counter(dict(zip(keys, group.counts.tolist())))
 
     def projection_counts_naive(self, names: Iterable[str]) -> Counter[Row]:
         """Reference implementation of :meth:`projection_counts`.
@@ -574,11 +598,9 @@ class Relation:
             )
         if code is None:
             return Relation(self._schema, (), validate=False)
-        row_list = store.row_list
-        kept = [
-            row_list[i]
-            for i in np.flatnonzero(store.codes[pos] == code).tolist()
-        ]
+        kept = store.decode_rows(
+            np.flatnonzero(store.codes[pos] == code), range(self._schema.arity)
+        )
         return Relation(self._schema, kept, validate=False)
 
     def reorder(self, names: Sequence[str]) -> "Relation":
@@ -645,8 +667,8 @@ class Relation:
         resident columnar store and dictionary-codes only the appended
         rows, so the result's store extends the existing coding
         in place of a from-scratch rebuild.  The result equals — rows,
-        columnar content, and :meth:`fingerprint` — an eager ingest of
-        the concatenated rows, for any split of the data into appends
+        columnar content, and :meth:`fingerprint` — a from-scratch ingest
+        of the concatenated rows, for any split of the data into appends
         (pinned by the property tests in ``tests/test_service_append.py``).
 
         The result's schema keeps this relation's attribute *names* but
@@ -672,8 +694,8 @@ class Relation:
         fingerprints iff they have the same attribute names in the same
         order and the same rows — regardless of
 
-        * **ingestion path**: eager ``read_csv`` and streamed
-          ``from_csv_stream`` of one CSV agree for every chunk size;
+        * **ingestion path**: a CSV load for every chunk size, a snapshot
+          reload, and a relation built in code from the same rows agree;
         * **row iteration order**: per-row digests are *sorted* before
           the final hash, so the hash-seed-dependent ``frozenset`` order
           (and ``PYTHONHASHSEED``) never leaks in — and unlike an
@@ -685,7 +707,9 @@ class Relation:
 
         Declared attribute domains are *not* hashed (they are derived
         metadata; ``infer_integer_domains`` does not change the content).
-        The value is computed once and cached on the relation.
+        The value is computed once and cached on the relation; an
+        undecoded relation hashes its decoded row list, building no row
+        ``frozenset``.
 
         Examples
         --------
@@ -704,12 +728,17 @@ class Relation:
                     digest_size=16,
                 ).digest()
             )
-            combined.update(len(self._rows).to_bytes(8, "big"))
+            rows = self._row_cache
+            if rows is None:
+                # Distinct code rows decode to distinct rows, so the
+                # decoded list stands in for the set.
+                rows = self._store.row_list
+            combined.update(len(rows).to_bytes(8, "big"))
             for digest in sorted(
                 hashlib.blake2b(
                     repr(row).encode("utf-8"), digest_size=16
                 ).digest()
-                for row in self._rows
+                for row in rows
             ):
                 combined.update(digest)
             fp = combined.hexdigest()
@@ -722,11 +751,15 @@ class Relation:
     def active_domain(self, name: str) -> frozenset[Value]:
         """Values of ``name`` actually present in the relation.
 
-        Always scans the rows so the *original* stored values are
-        returned (the columnar encoders canonicalize numerically-equal
-        values, e.g. ``True`` → ``1``, which would change labels).
+        The *original* stored values: an undecoded relation reads them
+        from its store's decoders (which hold exactly the values its rows
+        decode to); otherwise the rows are scanned, because a store
+        factorized from rows may canonicalize numerically-equal values
+        (``True`` → ``1``), which would change labels.
         """
         pos = self._schema.index(name)
+        if self._row_cache is None:
+            return frozenset(self._store.present_values(pos))
         return frozenset(row[pos] for row in self._rows)
 
     def active_domain_size(self, name: str) -> int:

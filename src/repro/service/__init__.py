@@ -5,7 +5,7 @@ The :mod:`repro.service` package turns the library's one-shot pipeline
 service that amortizes work across requests:
 
 * :class:`~repro.service.registry.DatasetRegistry` — CSVs ingested once
-  (eager or streamed), keyed by content fingerprint, kept resident with
+  through the columnar CSV route, keyed by content fingerprint, kept resident with
   their exact entropy engines under an LRU memory budget;
 * :class:`~repro.service.cache.ResultCache` — mine/analyze/decompose
   reports keyed by ``(fingerprint, operation, canonical params)``, with

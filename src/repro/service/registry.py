@@ -1,8 +1,8 @@
 """Dataset registry: fingerprint-keyed resident relations with LRU eviction.
 
 The registry is the service's working set.  ``register_path`` /
-``register_text`` ingest a CSV (eagerly or via the bounded-memory
-streamed path), apply :func:`~repro.relations.io.infer_integer_domains`
+``register_text`` ingest a CSV (the one columnar route,
+:meth:`Relation.from_csv_stream`), apply :func:`~repro.relations.io.infer_integer_domains`
 (exactly like the CLI, so service reports match CLI reports bit for
 bit), fingerprint the content (:meth:`Relation.fingerprint`), and keep
 the relation — and therefore its cached exact
@@ -61,7 +61,7 @@ from repro.errors import (
     UnknownDatasetError,
 )
 from repro.info.engine import EntropyEngine
-from repro.relations.io import infer_integer_domains, read_csv
+from repro.relations.io import infer_integer_domains
 from repro.relations.persist import (
     CHAIN_KEY,
     META_FILE,
@@ -309,12 +309,9 @@ class DatasetRegistry:
     # Ingestion
     # ------------------------------------------------------------------
     def _ingest(self, path: str, chunk_rows: int | None) -> Relation:
-        loaded = (
+        return infer_integer_domains(
             Relation.from_csv_stream(path, chunk_rows=chunk_rows)
-            if chunk_rows is not None
-            else read_csv(path)
         )
-        return infer_integer_domains(loaded)
 
     # ------------------------------------------------------------------
     # Snapshot plumbing
@@ -730,6 +727,7 @@ class DatasetRegistry:
             entry.source = self._spill_concatenated_csv(appended, new_fp)
             self._maybe_write_snapshot(entry, appended)
             self._retire_version_files(old_fp)
+            relation.release_engines()
             return entry, {
                 "fingerprint": new_fp,
                 "previous_fingerprint": old_fp,
@@ -770,6 +768,8 @@ class DatasetRegistry:
                 entry.base_fingerprint = chain["base"]
                 entry.chunk_fingerprints = list(chain["chunks"])
                 entry.appends += 1
+                if entry.relation is not None:
+                    entry.relation.release_engines()
                 entry.relation = None
                 entry.resident_bytes = 0
                 entry.n_rows = int(info["n_rows"])
@@ -1078,6 +1078,7 @@ class DatasetRegistry:
             # spill the memo beside the snapshot so a later reload
             # comes back warm.
             self._spill_engine_memo(entry)
+            entry.relation.release_engines()
             entry.relation = None
             total -= entry.resident_bytes
             self._c_evictions.inc()

@@ -80,6 +80,18 @@ class TestFingerprintIngestionPaths:
                 f"chunk_rows={chunk_rows} diverged"
             )
 
+    def test_equal_values_keep_the_first_spelling_on_every_path(self, tmp_path):
+        """``1`` and ``1.0`` in one column are one value: the first seen."""
+        path = tmp_path / "spellings.csv"
+        path.write_text("A,B\n1,x\n1.0,y\n")
+        expected = Relation(
+            RelationSchema.from_names(["A", "B"]), [(1, "x"), (1, "y")]
+        ).fingerprint()
+        assert read_csv(path).fingerprint() == expected
+        for chunk_rows in (1, 2, 3):
+            streamed = Relation.from_csv_stream(path, chunk_rows=chunk_rows)
+            assert streamed.fingerprint() == expected
+
     def test_infer_integer_domains_preserves_it(self, mixed_csv):
         relation = read_csv(mixed_csv)
         fp = relation.fingerprint()

@@ -21,8 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.loss import spurious_loss
 from repro.errors import SnapshotError
+from repro.factorize.pipeline import decompose
 from repro.info.engine import EntropyEngine
+from repro.jointrees.build import jointree_from_schema
 from repro.relations.builder import relation_from_chunks
 from repro.relations.io import read_csv
 from repro.relations.persist import (
@@ -123,6 +126,20 @@ class TestRoundTrip:
         for attrs in (["A"], ["B", "C"], ["A", "B", "C"]):
             engine.entropy(attrs)
         engine.cmi(["A"], ["B"], ["C"])
+        assert reloaded.columns()._row_list is None
+
+    def test_rho_decompose_and_project_do_not_decode_rows(self, tmp_path):
+        original = make_relation(
+            [(i % 5, i % 3, i % 4) for i in range(60)], names=["A", "B", "C"]
+        )
+        save_snapshot(original, tmp_path / "snap")
+        reloaded = load_snapshot(tmp_path / "snap")
+        tree = jointree_from_schema([{"A", "C"}, {"B", "C"}])
+        assert spurious_loss(reloaded, tree) == spurious_loss(original, tree)
+        assert decompose(reloaded, tree).report.rho == (
+            decompose(original, tree).report.rho
+        )
+        assert reloaded.project(["A", "C"]) == original.project(["A", "C"])
         assert reloaded.columns()._row_list is None
 
     def test_domains_flag_builds_declared_domains(self, tmp_path):

@@ -1,15 +1,19 @@
 """Unit tests for the service core: registry, result cache, job queue."""
 
+import gc
 import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.core.analysis import analyze
 from repro.core.random_relations import random_relation
 from repro.errors import QueueFullError, ReproError, ServiceError, UnknownDatasetError
 from repro.factorize.report import validate_report
+from repro.jointrees.build import jointree_from_schema
 from repro.relations.io import write_csv
+from repro.relations.relation import Relation
 from repro.service.cache import ResultCache, canonical_key
 from repro.service.jobs import DONE, FAILED, TIMEOUT, JobQueue
 from repro.service.operations import canonicalize_params, run_operation
@@ -73,6 +77,41 @@ class TestDatasetRegistry:
         relation = registry.relation(entries[0].fingerprint)
         assert len(relation) == entries[0].n_rows
         assert entries[0].reloads == 1
+
+    def test_retired_versions_are_freed_without_a_full_collection(
+        self, table_csv
+    ):
+        """An appended-over or evicted relation drops its cached engine
+        and context (which point back at it), so reference counting frees
+        it; otherwise it waits for the cyclic garbage collector."""
+
+        def alive(store):
+            return any(
+                isinstance(obj, Relation) and obj._store is store
+                for obj in gc.get_objects()
+            )
+
+        registry = DatasetRegistry(memory_budget_bytes=1)
+        entry = registry.register_path(table_csv)[0]
+        tree = jointree_from_schema([{"A", "C"}, {"B", "C"}])
+        gc.collect()
+        gc.disable()
+        try:
+            relation = registry.relation(entry.fingerprint)
+            analyze(relation, tree)  # caches an engine and a context
+            superseded = relation.columns()
+            del relation
+            registry.append_rows(entry.fingerprint, [(9, 9, 9)])
+            relation = registry.relation(entry.fingerprint)
+            analyze(relation, tree)
+            evicted = relation.columns()
+            del relation
+            registry.register_path(make_csv(table_csv.parent, "other.csv", 3))
+            assert not entry.resident
+            assert not alive(superseded)
+            assert not alive(evicted)
+        finally:
+            gc.enable()
 
     def test_reingest_detects_mutated_source(self, tmp_path):
         path = make_csv(tmp_path)

@@ -7,15 +7,23 @@ they cannot diverge on dialect, NUL bytes, blank lines, or ragged rows.
 """
 
 import csv
+import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets.synthetic import planted_mvd_relation
+from repro.discovery.miner import mine_jointree
 from repro.errors import SchemaError
+from repro.factorize.pipeline import decompose
 from repro.relations.builder import ColumnStoreBuilder, relation_from_chunks
+from repro.relations.columns import ColumnStore
 from repro.relations.io import (
     DEFAULT_CHUNK_ROWS,
+    _coerce,
+    infer_integer_domains,
     iter_csv_chunks,
     read_csv,
     sniff_header,
@@ -251,3 +259,95 @@ class TestFromCsvStream:
             assert streamed.projection_counts(subset) == (
                 eager.projection_counts(subset)
             )
+
+
+#: Token pools per column kind for the columnar-route property below.
+INT_TOKENS = st.sampled_from(["0", "1", "01", "007", "7", "-3", "12", "+2"])
+STR_TOKENS = st.sampled_from(["x", "y", "zz", "", "N/A", "abc"])
+MIXED_TOKENS = st.one_of(
+    INT_TOKENS,
+    STR_TOKENS,
+    st.sampled_from(["1.0", "0.5", "-2.25", "1e3", "inf", "-inf", "nan", "NaN"]),
+)
+
+
+class TestColumnarRoute:
+    """``read_csv`` codes tokens per column and never builds row tuples."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        kinds=st.lists(
+            st.sampled_from(["int", "str", "mixed"]), min_size=1, max_size=4
+        ),
+        n_rows=st.integers(min_value=1, max_value=25),
+    )
+    def test_codes_and_counts_match_factorizing_coerced_rows(
+        self, tmp_path_factory, data, kinds, n_rows
+    ):
+        """The reference coerces every cell, dedups the row tuples and
+        factorizes them with ``ColumnStore``: the one-route builder must
+        give the same int and str column codes and, on every attribute
+        subset, the same multiset of counts, for every chunk size."""
+        pools = {"int": INT_TOKENS, "str": STR_TOKENS, "mixed": MIXED_TOKENS}
+        tokens = data.draw(
+            st.lists(
+                st.tuples(*[pools[kind] for kind in kinds]),
+                min_size=n_rows,
+                max_size=n_rows,
+            )
+        )
+        path = tmp_path_factory.mktemp("route") / "t.csv"
+        with path.open("w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow([f"C{j}" for j in range(len(kinds))])
+            writer.writerows(tokens)
+        coerced = tuple(
+            dict.fromkeys(tuple(map(_coerce, row)) for row in tokens)
+        )
+        reference = ColumnStore(coerced, len(kinds))
+        subsets = [
+            subset
+            for k in range(1, len(kinds) + 1)
+            for subset in itertools.combinations(range(len(kinds)), k)
+        ]
+        for chunk_rows in range(1, n_rows + 2):
+            relation = Relation.from_csv_stream(path, chunk_rows=chunk_rows)
+            store = relation.columns()
+            assert len(relation) == len(coerced)
+            for j, kind in enumerate(kinds):
+                if kind != "mixed":
+                    assert np.array_equal(store.codes[j], reference.codes[j])
+                    assert store.cards[j] == reference.cards[j]
+            for subset in subsets:
+                assert np.array_equal(
+                    np.sort(store.counts(subset)),
+                    np.sort(reference.counts(subset)),
+                )
+            assert relation._row_cache is None
+            assert relation.rows() == frozenset(coerced)
+
+    def test_mine_and_decompose_leave_rows_undecoded(self, tmp_path):
+        planted = planted_mvd_relation(8, 8, 5, np.random.default_rng(3))
+        path = tmp_path / "planted.csv"
+        write_csv(planted, path)
+        relation = infer_integer_domains(read_csv(path))
+        mined = mine_jointree(relation, threshold=0.05)
+        decompose(relation, mined.jointree)
+        assert relation._row_cache is None
+        assert relation.columns()._row_list is None
+        assert relation == planted
+
+    def test_nan_tokens_are_one_value_on_every_route(self, tmp_path):
+        base = tmp_path / "base.csv"
+        base.write_text("A,B\nnan,x\nNaN,x\n1,y\n")
+        whole = tmp_path / "whole.csv"
+        whole.write_text("A,B\nnan,x\nNaN,x\n1,y\nnan,y\n-nan,x\n")
+        delta = tmp_path / "delta.csv"
+        delta.write_text("A,B\nnan,y\n-nan,x\n")
+        assert len(read_csv(base)) == 2
+        appended = read_csv(base).extended_with(
+            next(iter_csv_chunks(delta)).rows
+        )
+        assert len(appended) == 3
+        assert appended.fingerprint() == read_csv(whole).fingerprint()
