@@ -281,6 +281,15 @@ def fresh_streaming_rss_ratio() -> float:
     return eager["peak_rss_kb"] / max(stream["peak_rss_kb"], 1)
 
 
+def fresh_batch_scoring_speedup() -> float:
+    """Root-batch ``score_batch`` vs per-candidate ``engine.cmi``, 12 attrs."""
+    from test_bench_strategies import root_batch_scoring, width_tier_relation
+
+    relation = width_tier_relation("planted_12attrs")
+    result = root_batch_scoring(relation)
+    return result["batch_scoring_vs_per_candidate_cmi_speedup"]
+
+
 # ----------------------------------------------------------------------
 # Baseline extraction
 # ----------------------------------------------------------------------
@@ -353,6 +362,17 @@ def baseline_cluster_rps_ratio() -> float:
     )
 
 
+def baseline_batch_scoring_speedup() -> float:
+    record = _last_record_with_tier(
+        REPO_ROOT / "BENCH_discovery_strategies.json", "planted_12attrs"
+    )
+    return float(
+        record["tiers"]["planted_12attrs"][
+            "batch_scoring_vs_per_candidate_cmi_speedup"
+        ]
+    )
+
+
 def baseline_store_snapshot_speedup() -> float:
     record = _last_record(REPO_ROOT / "BENCH_store.json")
     return float(record["tiers"]["n=2e4"]["snapshot_vs_csv_reload_speedup"])
@@ -400,6 +420,14 @@ TRACKED_OPS = {
     "streaming/csv_ingest_vs_tuple_reference_speedup@1e5": (
         baseline_csv_ingest_speedup,
         fresh_csv_ingest_speedup,
+        1.0,
+    ),
+    # Split scoring: one mask gather over the ≈34k-candidate root batch
+    # against a loop of public engine.cmi calls, memo warm on both
+    # sides; best-of-3 loops of tens of ms each.
+    "discovery/batch_scoring_vs_per_candidate_cmi_speedup@12attrs": (
+        baseline_batch_scoring_speedup,
+        fresh_batch_scoring_speedup,
         1.0,
     ),
     # Warm requests are ~ms HTTP round trips, so scheduler noise moves

@@ -94,11 +94,12 @@ class SearchContext:
         """
         if relation.is_empty():
             raise DiscoveryError("cannot mine a schema from an empty relation")
-        if threshold < 0:
+        # Written as negated comparisons so that NaN is rejected too.
+        if not threshold >= 0:
             raise DiscoveryError(
                 f"threshold must be non-negative, got {threshold}"
             )
-        if deadline_seconds is not None and deadline_seconds <= 0:
+        if deadline_seconds is not None and not deadline_seconds > 0:
             raise DiscoveryError(
                 f"deadline must be positive, got {deadline_seconds}"
             )

@@ -23,7 +23,10 @@ overlapping bags, i.e. it searches partition schemas only.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.discovery.context import SearchContext
+from repro.discovery.scoring import CandidateBatch
 from repro.discovery.strategies import register_strategy
 from repro.discovery.strategies.base import (
     Bag,
@@ -49,22 +52,24 @@ class GreedyAgglomerativeStrategy(DiscoveryStrategy):
             if j_current <= context.threshold:
                 break
             pairs = [
-                (frozenset(), bags[i], bags[j])
-                for i in range(len(bags))
-                for j in range(i + 1, len(bags))
+                (i, j) for i in range(len(bags)) for j in range(i + 1, len(bags))
             ]
+            masks = [engine.mask(bag) for bag in bags]
             scored = context.scorer.score_batch(
-                context.relation, pairs, engine=engine
+                context.relation,
+                CandidateBatch(
+                    [0] * len(pairs),
+                    [masks[i] for i, _ in pairs],
+                    [masks[j] for _, j in pairs],
+                ),
+                engine=engine,
             )
-            # Highest MI first; ties break lexicographically for determinism.
-            best = min(
-                scored,
-                key=lambda s: (-s.cmi, sorted(s.left), sorted(s.right)),
-            )
-            merged = best.left | best.right
-            bags = [
-                bag for bag in bags if bag != best.left and bag != best.right
-            ]
+            # Highest MI first; ties break lexicographically by (left,
+            # right) names.  The bags are sorted by name, so pair order is
+            # that lexicographic order and the first maximum wins.
+            i, j = pairs[int(np.argmax(scored.cmi))]
+            merged = bags[i] | bags[j]
+            bags = [bag for k, bag in enumerate(bags) if k != i and k != j]
             bags.append(merged)
             bags.sort(key=sorted)
 

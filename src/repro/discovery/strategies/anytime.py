@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.core.jmeasure import j_measure
 from repro.discovery.context import SearchContext
-from repro.discovery.scoring import MVDSplit
+from repro.discovery.scoring import MVDSplit, ScoredBatch
 from repro.discovery.strategies import register_strategy
 from repro.discovery.strategies.base import (
     DiscoveryStrategy,
@@ -69,13 +69,13 @@ class AnytimeStrategy(DiscoveryStrategy):
         return (-len(schema), j_measure(context.relation, tree, engine=context.engine))
 
     def _randomized_round(self, context: SearchContext) -> SearchOutcome:
-        def pick(ranked: list[MVDSplit]) -> MVDSplit | None:
-            admissible = [s for s in ranked if s.cmi <= context.threshold]
-            if not admissible:
+        def pick(scored: ScoredBatch) -> MVDSplit | None:
+            admissible = scored.admissible(context.threshold)
+            if not len(admissible):
                 return None
             index = int(
                 context.rng.integers(0, min(self.top_k, len(admissible)))
             )
-            return admissible[index]
+            return scored.split(admissible[index])
 
         return topdown_decompose(context, pick)

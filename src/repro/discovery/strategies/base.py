@@ -10,21 +10,14 @@ search mode is one subclass registered with
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 
-from repro.discovery.candidates import (
-    binary_partitions,
-    candidate_separators,
-    greedy_partition,
-)
+from repro.discovery.candidates import greedy_partition
 from repro.discovery.context import SearchContext
-from repro.discovery.scoring import (
-    MVDSplit,
-    SplitCandidate,
-    prefer_split,
-    rank_key,
-)
+from repro.discovery.scoring import CandidateBatch, MVDSplit, ScoredBatch
+from repro.errors import DiscoveryError
 
 Bag = frozenset[str]
 
@@ -58,32 +51,56 @@ class DiscoveryStrategy:
 
 def enumerate_split_candidates(
     context: SearchContext, attributes: Bag
-) -> Iterator[SplitCandidate]:
-    """All candidate splits of ``attributes``, in the canonical order.
+) -> CandidateBatch:
+    """All candidate splits of ``attributes`` as one mask batch.
 
-    Mirrors the pre-refactor miner loop exactly: separators ascending by
-    size then lexicographically; for each, every bipartition of the
-    remainder when small enough, otherwise the single greedy partition.
-    (The greedy fallback issues its own CMI probes through the context's
-    engine, as before.)
+    The order is that of
+    :func:`~repro.discovery.candidates.candidate_separators` and
+    :func:`~repro.discovery.candidates.binary_partitions`, which the
+    pinned legacy miner scans: separators ascending by size, then
+    lexicographically by name; for each, every bipartition of the
+    remainder when small enough (its first name always on the left),
+    otherwise the single greedy partition.  (The greedy fallback issues
+    its own CMI probes through the context's engine.)
     """
-    for separator in candidate_separators(
-        sorted(attributes), context.max_separator_size
-    ):
-        rest = attributes - separator
-        if len(rest) < 2:
-            continue
-        if len(rest) <= context.exact_partition_limit:
-            for left, right in binary_partitions(sorted(rest)):
-                yield separator, left, right
-        else:
-            left, right = greedy_partition(
-                context.relation,
-                sorted(rest),
-                separator,
-                engine=context.engine,
-            )
-            yield separator, left, right
+    if context.max_separator_size < 0:
+        raise DiscoveryError(
+            f"max separator size must be >= 0, got {context.max_separator_size}"
+        )
+    engine = context.engine
+    bits = [engine.mask((name,)) for name in sorted(attributes)]
+    separators: list[int] = []
+    lefts: list[int] = []
+    rights: list[int] = []
+    limit = min(context.max_separator_size, len(bits) - 2)
+    for size in range(limit + 1):
+        for combo in itertools.combinations(bits, size):
+            separator = sum(combo)
+            rest = [bit for bit in bits if not bit & separator]
+            if len(rest) <= context.exact_partition_limit:
+                pivot, others = rest[0], rest[1:]
+                whole = sum(rest)
+                # Every left side holds the pivot; the one holding all of
+                # `rest` would leave the right side empty.
+                sides = [
+                    pivot + subset
+                    for k in range(len(others))
+                    for subset in map(sum, itertools.combinations(others, k))
+                ]
+                separators.extend([separator] * len(sides))
+                lefts.extend(sides)
+                rights.extend([whole - left for left in sides])
+            else:
+                left, right = greedy_partition(
+                    context.relation,
+                    sorted(engine.names(sum(rest))),
+                    frozenset(engine.names(separator)),
+                    engine=engine,
+                )
+                separators.append(separator)
+                lefts.append(engine.mask(left))
+                rights.append(engine.mask(right))
+    return CandidateBatch(separators, lefts, rights)
 
 
 def best_split_in_context(
@@ -91,37 +108,35 @@ def best_split_in_context(
 ) -> MVDSplit | None:
     """Lowest-CMI split of ``attributes``, or ``None`` if unsplittable.
 
-    Scores the whole candidate batch through ``context.scorer`` and folds
-    with :func:`prefer_split` in enumeration order — bit-for-bit the same
-    winner as the pre-refactor serial scan.
+    Scores the whole candidate batch through ``context.scorer`` and takes
+    the head of its rank order — the same winner as the pre-refactor
+    :func:`~repro.discovery.scoring.prefer_split` fold.
     """
     if len(attributes) < 2:
         return None
-    candidates = list(enumerate_split_candidates(context, attributes))
-    if not candidates:
+    candidates = enumerate_split_candidates(context, attributes)
+    if not len(candidates):
         return None
-    best: MVDSplit | None = None
-    for scored in context.scorer.score_batch(
+    scored = context.scorer.score_batch(
         context.relation, candidates, engine=context.engine
-    ):
-        if best is None or prefer_split(scored, best):
-            best = scored
-    return best
+    )
+    return scored.split(scored.ranked()[0])
 
 
 def topdown_decompose(
     context: SearchContext,
-    pick: Callable[[list[MVDSplit]], MVDSplit | None],
+    pick: Callable[[ScoredBatch], MVDSplit | None],
 ) -> SearchOutcome:
     """The shared top-down splitting loop, parameterized by the pick rule.
 
     At each node the full candidate batch is scored and handed to
-    ``pick`` sorted by :func:`~repro.discovery.scoring.rank_key`;
-    ``pick`` returns the split to recurse on or ``None`` to keep the set
-    as one bag.  Recursion structure, the deadline gate, and the
-    glued-schema acyclicity guard live here once, so every top-down
-    strategy (strict-best ``recursive``, rng-among-top-k ``anytime``
-    rounds) shares them exactly.
+    ``pick``, which reads the batch's rank order
+    (:meth:`~repro.discovery.scoring.ScoredBatch.ranked`) and returns the
+    split to recurse on or ``None`` to keep the set as one bag.
+    Recursion structure, the deadline gate, and the glued-schema
+    acyclicity guard live here once, so every top-down strategy
+    (strict-best ``recursive``, rng-among-top-k ``anytime`` rounds)
+    shares them exactly.
     """
     from repro.jointrees.gyo import is_acyclic
 
@@ -130,12 +145,13 @@ def topdown_decompose(
     def decompose(attrs: Bag) -> list[Bag]:
         split = None
         if len(attrs) > 2 and not context.expired():
-            candidates = list(enumerate_split_candidates(context, attrs))
-            if candidates:
-                scored = context.scorer.score_batch(
-                    context.relation, candidates, engine=context.engine
+            candidates = enumerate_split_candidates(context, attrs)
+            if len(candidates):
+                split = pick(
+                    context.scorer.score_batch(
+                        context.relation, candidates, engine=context.engine
+                    )
                 )
-                split = pick(sorted(scored, key=rank_key))
         if split is None:
             return [attrs]
         combined = decompose(split.separator | split.left) + decompose(

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.discovery.context import SearchContext
-from repro.discovery.scoring import MVDSplit, rank_key
+from repro.discovery.scoring import MVDSplit
 from repro.discovery.strategies import register_strategy
 from repro.discovery.strategies.base import (
     Bag,
@@ -75,7 +75,7 @@ class BeamStrategy(DiscoveryStrategy):
 
         # Sibling frontier states frequently share the same open set
         # (children of one parent inherit `rest` verbatim); memoize the
-        # ranked admissible splits per attribute set for this search.
+        # top-ranked admissible splits per attribute set for this search.
         admissible_cache: dict[Bag, list[MVDSplit]] = {}
 
         def admissible_splits(attrs: Bag) -> list[MVDSplit]:
@@ -83,13 +83,14 @@ class BeamStrategy(DiscoveryStrategy):
             if cached is None:
                 scored = context.scorer.score_batch(
                     context.relation,
-                    list(enumerate_split_candidates(context, attrs)),
+                    enumerate_split_candidates(context, attrs),
                     engine=context.engine,
                 )
-                cached = sorted(
-                    (s for s in scored if s.cmi <= context.threshold),
-                    key=rank_key,
-                )
+                admissible = scored.admissible(context.threshold)
+                cached = [
+                    scored.split(index)
+                    for index in admissible[: self.branch_factor]
+                ]
                 admissible_cache[attrs] = cached
             return cached
 
@@ -103,7 +104,7 @@ class BeamStrategy(DiscoveryStrategy):
                 )
                 if context.expired():
                     continue
-                for split in admissible_splits(attrs)[: self.branch_factor]:
+                for split in admissible_splits(attrs):
                     sides = (
                         split.separator | split.left,
                         split.separator | split.right,

@@ -16,7 +16,7 @@ further splitting (already-accepted splits are kept), which is what the
 from __future__ import annotations
 
 from repro.discovery.context import SearchContext
-from repro.discovery.scoring import MVDSplit
+from repro.discovery.scoring import MVDSplit, ScoredBatch
 from repro.discovery.strategies import register_strategy
 from repro.discovery.strategies.base import (
     DiscoveryStrategy,
@@ -25,14 +25,15 @@ from repro.discovery.strategies.base import (
 )
 
 
-def _strict_best(ranked: list[MVDSplit], threshold: float) -> MVDSplit | None:
+def _strict_best(scored: ScoredBatch, threshold: float) -> MVDSplit | None:
     """The rank-order winner, or ``None`` when it exceeds the threshold.
 
     ``rank_key`` is a strict total order within one batch (two distinct
-    candidates always differ in separator or left side), so the sorted
+    candidates always differ in separator or left side), so the ranked
     head equals the legacy miner's fold-min over enumeration order.
     """
-    return ranked[0] if ranked[0].cmi <= threshold else None
+    best = scored.ranked()[0]
+    return scored.split(best) if scored.cmi[best] <= threshold else None
 
 
 @register_strategy
@@ -43,5 +44,5 @@ class RecursiveStrategy(DiscoveryStrategy):
 
     def search(self, context: SearchContext) -> SearchOutcome:
         return topdown_decompose(
-            context, lambda ranked: _strict_best(ranked, context.threshold)
+            context, lambda scored: _strict_best(scored, context.threshold)
         )

@@ -11,9 +11,17 @@ from the relation's vectorized columnar counts.
 
 Cache keying and invalidation
 -----------------------------
-Keys are the attribute subsets in the *relation schema's canonical order*
-(``schema.canonical_order``), so every spelling of the same set hits the
-same entry.  Relations are immutable, hence the memo is never invalidated:
+Keys are attribute-set bitmasks: bit ``i`` stands for the attribute at
+schema position ``i`` (TANE's bit-vector lattice, Huhtala et al.,
+*Comput. J.* 1999), so every spelling of the same set hits the same
+entry, and a Python int keys a schema of any width.  Names are turned
+into a mask once per call (:meth:`EntropyEngine.mask`); the discovery
+layer works in masks throughout and scores a whole candidate batch with
+one gather (:meth:`EntropyEngine.mask_entropies`).  The tuple-keyed
+:meth:`~EntropyEngine.cache_snapshot` / :meth:`~EntropyEngine.merge_cache`
+pair keeps names in the schema's canonical order at the edge, for the
+persisted memo sidecar and the cluster memo deltas.  Relations are
+immutable, hence the memo is never invalidated:
 derived relations (projections, selections, unions) are new objects with
 fresh engines.  Use :meth:`EntropyEngine.for_relation` to get the engine
 cached *on* the relation, which is how the discovery, core, and info
@@ -32,9 +40,11 @@ Miller–Madow-corrected estimates.  The memo layer is backend-agnostic.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
-from repro.errors import DistributionError
+import numpy as np
+
+from repro.errors import DistributionError, UnknownAttributeError
 from repro.info.backends import EntropyBackend, make_backend
 from repro.relations.relation import Relation
 
@@ -66,7 +76,16 @@ class EntropyEngine:
     0.0
     """
 
-    __slots__ = ("_backend", "_cache", "_log_n", "_n", "_relation")
+    __slots__ = (
+        "_backend",
+        "_bits",
+        "_cache",
+        "_keys",
+        "_log_n",
+        "_n",
+        "_names",
+        "_relation",
+    )
 
     def __init__(
         self,
@@ -76,7 +95,14 @@ class EntropyEngine:
     ) -> None:
         self._relation = relation
         self._backend = make_backend(backend)
-        self._cache: dict[tuple[str, ...], float] = {}
+        self._names = relation.schema.names
+        self._bits = {name: 1 << i for i, name in enumerate(self._names)}
+        # H(∅) = 0 is seeded so that gathers need no branch for the empty
+        # separator; it has no key, so it is not counted as a memo entry.
+        self._cache: dict[int, float] = {0: 0.0}
+        # The schema-order name tuple of every memoized mask, kept so the
+        # tuple-keyed snapshot costs no conversion.
+        self._keys: dict[int, tuple[str, ...]] = {}
         self._n = len(relation)
         self._log_n = math.log(self._n) if self._n else None
 
@@ -129,12 +155,43 @@ class EntropyEngine:
         return self._backend
 
     def key(self, attributes: Iterable[str]) -> tuple[str, ...]:
-        """Canonical cache key for an attribute subset (schema order)."""
+        """An attribute subset's names in schema order."""
         return self._relation.schema.canonical_order(attributes)
+
+    def mask(self, attributes: Iterable[str]) -> int:
+        """The bitmask of an attribute subset (bit ``i`` = schema position ``i``).
+
+        Unknown names raise :class:`~repro.errors.UnknownAttributeError`.
+        """
+        bits = self._bits
+        mask = 0
+        unknown = []
+        for name in attributes:
+            bit = bits.get(name)
+            if bit is None:
+                unknown.append(name)
+            else:
+                mask |= bit
+        if unknown:
+            raise UnknownAttributeError(
+                f"unknown attributes {sorted(set(map(str, unknown)))}; "
+                f"schema has {list(self._names)}"
+            )
+        return mask
+
+    def names(self, mask: int) -> tuple[str, ...]:
+        """The attribute names of ``mask``, in schema order."""
+        names = self._names
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(names[low.bit_length() - 1])
+            mask ^= low
+        return tuple(out)
 
     def cache_size(self) -> int:
         """Number of memoized entropy entries."""
-        return len(self._cache)
+        return len(self._keys)
 
     def cache_info(self) -> dict:
         """JSON-ready memo summary (the service's ``/stats`` embeds it).
@@ -145,7 +202,7 @@ class EntropyEngine:
         """
         return {
             "backend": self._backend.name,
-            "entries": len(self._cache),
+            "entries": self.cache_size(),
             "n_rows": self._n,
         }
 
@@ -157,13 +214,20 @@ class EntropyEngine:
         workers to diff out the entropies a job computed (the memo delta
         shipped back to the front end).
         """
-        return dict(self._cache)
+        # One C-level copy first: job threads sharing this engine may add
+        # entries meanwhile, and iterating a growing dict raises.  A mask
+        # enters `_keys` only after `_cache`, so every lookup succeeds.
+        keys = dict(self._keys)
+        cache = self._cache
+        return {key: cache[mask] for mask, key in keys.items()}
 
     def merge_cache(self, entries: dict[tuple[str, ...], float]) -> int:
         """Adopt precomputed entropies (canonical keys, nats).
 
         Entries already memoized locally are kept (both sides compute the
         same value for the same key, so precedence is irrelevant).
+        Keys naming an attribute outside the schema are skipped: no
+        lookup could reach them.
         Returns the number of newly added entries.  This is the last step
         of the cluster memo fold: the memo deltas workers ship back are
         merged into the snapshot's memo sidecar, and a process hydrating
@@ -172,26 +236,50 @@ class EntropyEngine:
         added = 0
         cache = self._cache
         for key, value in entries.items():
-            if key not in cache:
-                cache[key] = value
+            try:
+                mask = self.mask(key)
+            except UnknownAttributeError:
+                continue
+            if mask not in cache:
+                cache[mask] = value
+                self._keys[mask] = self.names(mask)
                 added += 1
         return added
 
     # ------------------------------------------------------------------
     # Entropies
     # ------------------------------------------------------------------
-    def _entropy_nats(self, key: tuple[str, ...]) -> float:
-        """``H(key)`` in nats; ``key`` must already be canonical."""
-        if not key:
-            return 0.0  # H(∅) = 0 (the empty-separator convention)
-        cached = self._cache.get(key)
+    def _entropy_nats(self, mask: int) -> float:
+        """``H`` of the attribute set ``mask``, in nats (memoized)."""
+        cached = self._cache.get(mask)
         if cached is not None:
             return cached
+        return self._compute(mask)
+
+    def _compute(self, mask: int) -> float:
         if self._log_n is None:
             raise DistributionError("entropy over an empty relation is undefined")
+        key = self.names(mask)
         value = max(self._backend.entropy_nats(self._relation, key), 0.0)
-        self._cache[key] = value
+        self._cache[mask] = value
+        self._keys[mask] = key
         return value
+
+    def mask_entropies(self, masks: Sequence[int]) -> np.ndarray:
+        """``H`` (nats) of each attribute-set mask, as a float64 array.
+
+        Masks missing from the memo are computed first, in order of first
+        appearance, through the same backend call :meth:`entropy` makes;
+        the result is then one gather from the memo.  A Python int keys
+        a schema of any width, so there is no width limit.
+        """
+        cache = self._cache
+        for mask in masks:
+            if mask not in cache:
+                self._compute(mask)
+        return np.fromiter(
+            map(cache.__getitem__, masks), dtype=np.float64, count=len(masks)
+        )
 
     def entropy(
         self, attributes: Iterable[str], *, base: float | None = None
@@ -201,7 +289,7 @@ class EntropyEngine:
         The empty set yields ``H(∅) = 0``; unknown attribute names raise
         :class:`~repro.errors.UnknownAttributeError`.
         """
-        return _convert(self._entropy_nats(self.key(attributes)), base)
+        return _convert(self._entropy_nats(self.mask(attributes)), base)
 
     def entropies(
         self,
@@ -220,12 +308,11 @@ class EntropyEngine:
         base: float | None = None,
     ) -> float:
         """``H(targets | given) = H(targets ∪ given) − H(given)`` (clamped)."""
-        target_key = self.key(targets)
-        given_key = self.key(given)
-        joint = self._entropy_nats(self.key(set(target_key) | set(given_key)))
-        if not given_key:
+        given_mask = self.mask(given)
+        joint = self._entropy_nats(self.mask(targets) | given_mask)
+        if not given_mask:
             return _convert(joint, base)
-        return _convert(max(joint - self._entropy_nats(given_key), 0.0), base)
+        return _convert(max(joint - self._entropy_nats(given_mask), 0.0), base)
 
     def cmi(
         self,
@@ -241,15 +328,15 @@ class EntropyEngine:
         overlapping prefix/suffix unions); with empty ``given`` this is
         the plain mutual information.  Clamped at zero.
         """
-        left = set(left)
-        right = set(right)
-        given = set(given)
-        if not left or not right:
+        a = self.mask(left)
+        b = self.mask(right)
+        c = self.mask(given)
+        if not a or not b:
             raise DistributionError("mutual information needs non-empty sides")
-        h_c = self._entropy_nats(self.key(given)) if given else 0.0
-        h_ac = self._entropy_nats(self.key(left | given))
-        h_bc = self._entropy_nats(self.key(right | given))
-        h_abc = self._entropy_nats(self.key(left | right | given))
+        h_c = self._entropy_nats(c)
+        h_ac = self._entropy_nats(a | c)
+        h_bc = self._entropy_nats(b | c)
+        h_abc = self._entropy_nats(a | b | c)
         return _convert(max(h_bc + h_ac - h_abc - h_c, 0.0), base)
 
     def mutual_information(

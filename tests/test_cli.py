@@ -128,6 +128,16 @@ class TestMineCommand:
         assert code == 0
         assert "{A, C}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", ["--threshold", "--deadline"])
+    def test_nan_option_exits_cleanly(self, flag, table_csv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["mine", str(table_csv), flag, "nan", "--json"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no report, so no non-standard `NaN`
+        assert flag.lstrip("-") in captured.err
+        assert "Traceback" not in captured.err
+
     def test_empty_csv_exits_cleanly(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text("A,B,C\n")  # header only, no data rows

@@ -1,5 +1,7 @@
 """Unit tests for repro.discovery (candidates + miner)."""
 
+import math
+
 import pytest
 
 from repro.core.loss import spurious_loss
@@ -154,6 +156,17 @@ class TestMineJointree:
         r = planted_mvd_relation(4, 4, 2, rng)
         with pytest.raises(DiscoveryError):
             mine_jointree(r, threshold=-1.0)
+
+    @pytest.mark.parametrize(
+        "option", [{"threshold": math.nan}, {"deadline": math.nan}]
+    )
+    def test_nan_parameters_rejected(self, rng, option):
+        # NaN fails every comparison, so a `< 0` / `<= 0` guard let it
+        # through: a NaN threshold mined the one-bag schema and a NaN
+        # deadline never expired.
+        r = planted_mvd_relation(4, 4, 2, rng)
+        with pytest.raises(DiscoveryError):
+            mine_jointree(r, **option)
 
     def test_two_attribute_relation(self, rng):
         from repro.datasets.synthetic import diagonal_relation

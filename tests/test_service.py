@@ -403,6 +403,18 @@ class TestJobQueue:
         finally:
             jobs.shutdown()
 
+    def test_nan_threshold_fails_as_client_error(self, tmp_path):
+        _, cache, jobs, fp = self.queue_for(tmp_path, workers=1)
+        try:
+            job = jobs.submit(fp, "mine", {"threshold": float("nan")})
+            assert job.wait(10)
+            assert job.state == FAILED
+            assert "threshold must be non-negative" in job.error
+            assert not job.error.startswith("internal error")
+            assert cache.stats()["entries"] == 0
+        finally:
+            jobs.shutdown()
+
     def test_deadline_expired_in_queue_times_out_cleanly(self, tmp_path):
         registry, cache, jobs, fp = self.queue_for(tmp_path, workers=1)
         try:
