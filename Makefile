@@ -7,7 +7,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: test bench bench-baseline bench-strategies bench-jmeasure \
 	bench-streaming bench-service bench-store bench-cluster \
 	bench-saturation bench-gate service-smoke chaos-smoke \
-	saturation-smoke lint
+	saturation-smoke design-size lint
 
 ## tier-1 suite (tests only; benchmarks are opt-in via `make bench`)
 test:
@@ -99,6 +99,12 @@ bench-saturation:
 ## bench-gate job runs exactly this (see docs/ci.md)
 bench-gate:
 	$(PYTHON) benchmarks/check_regression.py
+
+## print the design-size counters tracked in ROADMAP.md as JSON
+## (src/ and service/ lines, CLI add_argument calls, ServiceConfig
+## fields); reports only, gates nothing (see docs/ci.md)
+design-size:
+	$(PYTHON) scripts/design_size.py
 
 ## byte-compile + import smoke check (no third-party linter is vendored
 ## in the runtime image; swap in ruff/flake8 here when available)

@@ -265,7 +265,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         fault_plan=args.fault_plan,
         breaker_failures=args.breaker_failures,
         breaker_cooldown_s=args.breaker_cooldown,
-        snapshots=not args.no_snapshots,
         worker_procs=args.worker_procs,
         revalidate_tolerance=args.revalidate_tolerance,
         telemetry=not args.no_telemetry,
@@ -583,12 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SEC",
         help="seconds an open circuit breaker fast-fails submissions "
         "before probing again (default: 5)",
-    )
-    p_serve.add_argument(
-        "--no-snapshots",
-        action="store_true",
-        help="disable persistent columnar snapshots (the registry then "
-        "always re-ingests evicted datasets from CSV)",
     )
     p_serve.add_argument(
         "--no-telemetry",

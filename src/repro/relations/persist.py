@@ -755,7 +755,7 @@ def merge_engine_memo(
 
 
 # ----------------------------------------------------------------------
-# Worker-side hydration
+# Hydration: the one route from references to a live relation
 # ----------------------------------------------------------------------
 def hydrate_relation(
     *,
@@ -763,63 +763,80 @@ def hydrate_relation(
     snapshot_path: str | Path | None = None,
     source: str | None = None,
     chunk_rows: int | None = None,
+    check=None,
+    on_reject=None,
 ):
-    """Materialize a relation in a worker process: snapshot, then CSV.
+    """Materialize a dataset from its references: snapshot, then CSV.
 
-    The cluster dispatcher ships *references* (snapshot directory, CSV
-    source path) instead of pickled relations; each worker rebuilds the
-    dataset locally through the same zero-parse path the registry uses:
+    The one hydrate routine of the service, in both modes: the dataset
+    registry reloads an evicted dataset through it, and each cluster
+    worker rebuilds a dispatched dataset through it from the references
+    the front end ships (snapshot directory, CSV source path) instead of
+    a pickled relation.  The order is fixed:
 
     1. the columnar snapshot (mmap + decode-free assembly), with the
-       entropy-memo sidecar merged into the resident engine so a
-       rehomed dataset starts warm;
-    2. the CSV source, re-fingerprinted and rejected on mismatch (a
-       mutated source must never silently impersonate the dataset).
+       entropy-memo sidecar merged into the relation's engine so a
+       reloaded or rehomed dataset starts warm;
+    2. the CSV source, re-ingested exactly like registration and
+       rejected unless it re-fingerprints to ``expected_fingerprint``
+       (a mutated source must never silently impersonate the dataset).
+
+    ``check(route)``, when given, runs just before a route is tried
+    (``"snapshot"`` or ``"csv"``); whatever it raises counts as that
+    route failing (the registry arms its fault sites here).  A snapshot
+    that exists but fails to load is passed to ``on_reject(path)`` —
+    the caller decides whether to quarantine it — and hydration falls
+    through to the CSV source.
 
     Returns ``(relation, origin)`` with ``origin`` in ``{"snapshot",
     "csv"}``.  Raises :class:`~repro.errors.SnapshotError` when no
-    route produces the expected content.
+    route produces the expected content; its message says why (no
+    source, re-ingest failed, source changed on disk).
     """
+    from repro.errors import ReproError
     from repro.info.engine import EntropyEngine
     from repro.relations.io import infer_integer_domains
     from repro.relations.relation import Relation
 
-    if snapshot_path is not None:
-        snapshot_path = Path(snapshot_path)
-        if (snapshot_path / META_FILE).exists():
-            try:
-                relation = load_snapshot(
-                    snapshot_path,
-                    expected_fingerprint=expected_fingerprint,
-                    domains=True,
-                )
-            except (SnapshotError, OSError):
-                relation = None
-            if relation is not None:
-                try:
-                    memo = load_engine_memo(snapshot_path)
-                except SnapshotError:
-                    memo = {}
-                if memo:
-                    EntropyEngine.for_relation(relation).merge_cache(memo)
-                return relation, "snapshot"
-    if source is not None:
+    if snapshot_path is not None and (Path(snapshot_path) / META_FILE).exists():
         try:
-            loaded = Relation.from_csv_stream(source, chunk_rows=chunk_rows)
-        except OSError as exc:
-            raise SnapshotError(
-                f"dataset {expected_fingerprint} has no loadable snapshot "
-                f"and its source {source!r} is unreadable: {exc}"
-            ) from exc
-        relation = infer_integer_domains(loaded)
-        if relation.fingerprint() != expected_fingerprint:
-            raise SnapshotError(
-                f"source {source!r} re-ingests to fingerprint "
-                f"{relation.fingerprint()}, expected {expected_fingerprint}; "
-                "the file mutated since registration"
+            if check is not None:
+                check("snapshot")
+            relation = load_snapshot(
+                snapshot_path,
+                expected_fingerprint=expected_fingerprint,
+                domains=True,
             )
-        return relation, "csv"
-    raise SnapshotError(
-        f"dataset {expected_fingerprint} cannot be hydrated: no snapshot "
-        "directory and no CSV source were provided"
-    )
+        except (ReproError, OSError):
+            if on_reject is not None:
+                on_reject(Path(snapshot_path))
+        else:
+            try:
+                memo = load_engine_memo(snapshot_path)
+            except SnapshotError:
+                memo = {}
+            if memo:
+                EntropyEngine.for_relation(relation).merge_cache(memo)
+            return relation, "snapshot"
+    if source is None:
+        raise SnapshotError(
+            f"dataset {expected_fingerprint} has no loadable snapshot and no "
+            "source to re-ingest from (an inline upload without a spill dir)"
+        )
+    try:
+        if check is not None:
+            check("csv")
+        relation = infer_integer_domains(
+            Relation.from_csv_stream(source, chunk_rows=chunk_rows)
+        )
+    except Exception as exc:  # an unreadable source, however it fails
+        raise SnapshotError(
+            f"re-ingesting dataset {expected_fingerprint} from {source} "
+            f"failed: {exc}"
+        ) from exc
+    if relation.fingerprint() != expected_fingerprint:
+        raise SnapshotError(
+            f"source {source} changed on disk: re-ingested fingerprint "
+            f"{relation.fingerprint()} != registered {expected_fingerprint}"
+        )
+    return relation, "csv"

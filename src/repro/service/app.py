@@ -53,7 +53,6 @@ class Service:
             memory_budget_bytes=self.config.memory_budget_bytes,
             spill_dir=self.config.spill_dir,
             faults=self.faults,
-            snapshots=self.config.snapshots,
             metrics=metrics,
         )
         self.cache = ResultCache(
@@ -233,8 +232,9 @@ class Service:
     def append(self, fingerprint: str, body: dict) -> dict:
         """``POST /v1/datasets/{fp}/append``: delta ingest + maintenance.
 
-        Appends the delta through the dict-coding append path (cluster
-        mode dispatches to the shard owner; see
+        Appends the delta through the registry's one append path
+        (:meth:`~repro.service.registry.DatasetRegistry.append_rows`;
+        cluster mode extends the dataset on the shard owner, see
         :meth:`~repro.service.cluster.ClusterSupervisor.append`), then
         revalidates the dataset's cached results against the new
         content (:meth:`~repro.service.jobs.JobQueue.revalidate_after_append`).
@@ -246,16 +246,13 @@ class Service:
         entry = self.registry.get(fingerprint)
         old_fingerprint = entry.fingerprint
         rows = self._parse_delta(entry, body)
-        if self.cluster is not None:
-            info = self.cluster.append(
-                old_fingerprint, rows, chain=entry.chain()
-            )
-            if info.get("changed"):
-                self.registry.adopt_appended(old_fingerprint, info)
-        else:
-            _, info = self.registry.append_rows(old_fingerprint, rows)
+        _, info = self.registry.append_rows(
+            old_fingerprint,
+            rows,
+            remote=self.cluster.append if self.cluster is not None else None,
+        )
         tolerance = self.config.revalidate_tolerance
-        if info.get("changed"):
+        if info["changed"]:
             revalidation = self.jobs.revalidate_after_append(
                 old_fingerprint, info["fingerprint"], tolerance=tolerance
             )
@@ -351,13 +348,9 @@ class Service:
         """
         view = {
             "uptime_s": time.monotonic() - self._started_at,
-            # The registry snapshot rides a short TTL cache so a /stats
-            # poller never contends with a long mine for the
-            # registry-wide lock (see DatasetRegistry.stats).
             "cache": self.cache.stats(),
-            "registry": self.registry.stats(
-                max_age_s=self.config.stats_cache_ttl_s
-            ),
+            # Never waits on the registry lock (see DatasetRegistry.stats).
+            "registry": self.registry.stats(),
             "jobs": self.jobs.stats(),
             "faults": self.faults.stats(),
             "metrics": self.telemetry.summary(),

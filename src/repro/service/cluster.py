@@ -527,26 +527,28 @@ class ClusterSupervisor:
     # ------------------------------------------------------------------
     # Execution (the JobQueue's executor hook)
     # ------------------------------------------------------------------
-    def execute(
+    def _dispatch(
         self,
         fingerprint: str,
         operation: str,
-        params: dict,
+        fields: dict,
         *,
-        deadline_at: float | None = None,
-        trace: str | None = None,
+        timeout: float | None,
         timings: StageTimings | None = None,
-    ) -> dict:
-        """Run one operation on the shard's owning worker; return the report.
+    ) -> tuple[dict, dict]:
+        """Send one request to the shard owner; return ``(spec, response)``.
 
-        Raises the same typed errors the in-process path does —
-        :class:`~repro.errors.DatasetDegradedError` for hydrate
-        failures, :class:`~repro.errors.ReproError` for client errors —
-        plus :class:`~repro.service.dispatch.WorkerCrashedError` when
-        the owning process dies mid-job (surfaced as ``reason:
-        "worker_crashed"``) and
-        :class:`~repro.service.dispatch.DispatchError` for front-end
-        transport failures (the ``cluster.dispatch`` fault site).
+        The one dispatch path of :meth:`execute` and :meth:`append`:
+        closed check, the ``cluster.dispatch`` (and, for operations,
+        ``cluster.worker_exit``) fault sites, hydration references for
+        the worker, the request, the telemetry fold, and the mapping of
+        a failed reply's ``error_kind`` to the typed error the
+        in-process path raises — :class:`~repro.errors.DatasetDegradedError`
+        for hydrate failures (noted on the registry entry),
+        :class:`~repro.errors.ReproError` for client errors.  Transport
+        failures raise :class:`~repro.service.dispatch.DispatchError` and
+        a death mid-request :class:`~repro.service.dispatch.WorkerCrashedError`
+        (surfaced as ``reason: "worker_crashed"``).
         """
         with self._lock:
             if self._closed:
@@ -557,39 +559,24 @@ class ClusterSupervisor:
         except InjectedFaultError as exc:
             self._c_dispatch_failures.inc()
             raise DispatchError(str(exc)) from exc
-        inject_exit = False
-        try:
-            self._faults.check("cluster.worker_exit")
-        except WorkerCrashInjection:
-            # Fired here (not in the worker) so one plan counts crashes
-            # cluster-wide: a respawned worker re-arming the spec would
-            # reset a `times` budget.  The directive rides the request
-            # and the worker dies abruptly upon reading it.
-            inject_exit = True
+        body = {"fingerprint": fingerprint, "operation": operation, **fields}
+        if operation != APPEND_OP:
+            try:
+                self._faults.check("cluster.worker_exit")
+            except WorkerCrashInjection:
+                # Fired here (not in the worker) so one plan counts
+                # crashes cluster-wide: a respawned worker re-arming the
+                # spec would reset a `times` budget.  The directive rides
+                # the request and the worker dies abruptly upon reading it.
+                body["inject"] = "worker_exit"
         spec = self._registry.hydration_spec(fingerprint)
+        body.update(
+            snapshot_dir=spec["snapshot_dir"],
+            source=spec["source"],
+            chunk_rows=spec["chunk_rows"],
+        )
         worker_id = self._shards.owner(fingerprint)
         handle = self._live_handle(worker_id)
-        timeout = None
-        if deadline_at is not None:
-            timeout = max(deadline_at - time.monotonic(), 0.0) + DISPATCH_GRACE_S
-        body = {
-            "fingerprint": fingerprint,
-            "operation": operation,
-            "params": params,
-            "deadline_in_s": (
-                None
-                if deadline_at is None
-                else max(deadline_at - time.monotonic(), 0.0)
-            ),
-            "snapshot_dir": spec["snapshot_dir"],
-            "source": spec["source"],
-            "chunk_rows": spec["chunk_rows"],
-        }
-        if trace is not None:
-            # Rides the req frame; old workers ignore unknown fields.
-            body["trace"] = trace
-        if inject_exit:
-            body["inject"] = "worker_exit"
         try:
             response = handle.request(body, timeout=timeout)
         except (WorkerCrashedError, DispatchError):
@@ -604,12 +591,8 @@ class ClusterSupervisor:
                     f"worker {worker_id} returned a malformed report "
                     f"({type(report).__name__})"
                 )
-            origin = response.get("origin")
-            if origin in ("snapshot", "csv", "resident"):
-                self._c_hydrations.labels(origin).inc()
-            self._fold_memo_delta(spec, response.get("memo_delta"))
             self._registry.note_remote_outcome(fingerprint, ok=True)
-            return report
+            return spec, response
         message = str(response.get("error") or "worker reported failure")
         kind = response.get("error_kind")
         if kind == "degraded":
@@ -619,7 +602,42 @@ class ClusterSupervisor:
             raise DatasetDegradedError(message)
         if kind == "repro":
             raise ReproError(message)
-        raise RuntimeError(f"worker {worker_id} failed the job: {message}")
+        raise RuntimeError(f"worker {worker_id} failed {operation}: {message}")
+
+    def execute(
+        self,
+        fingerprint: str,
+        operation: str,
+        params: dict,
+        *,
+        deadline_at: float | None = None,
+        trace: str | None = None,
+        timings: StageTimings | None = None,
+    ) -> dict:
+        """Run one operation on the shard's owning worker; return the report.
+
+        Raises the same typed errors the in-process path does (see
+        :meth:`_dispatch`) and folds the worker's hydration origin and
+        entropy-memo delta into the cluster counters and the shared
+        sidecar tier.
+        """
+        timeout = None
+        fields = {"params": params, "deadline_in_s": None}
+        if deadline_at is not None:
+            remaining = max(deadline_at - time.monotonic(), 0.0)
+            fields["deadline_in_s"] = remaining
+            timeout = remaining + DISPATCH_GRACE_S
+        if trace is not None:
+            # Rides the req frame; old workers ignore unknown fields.
+            fields["trace"] = trace
+        spec, response = self._dispatch(
+            fingerprint, operation, fields, timeout=timeout, timings=timings
+        )
+        origin = response.get("origin")
+        if origin in ("snapshot", "csv", "resident"):
+            self._c_hydrations.labels(origin).inc()
+        self._fold_memo_delta(spec, response.get("memo_delta"))
+        return response["report"]
 
     def append(
         self,
@@ -629,83 +647,34 @@ class ClusterSupervisor:
         chain: dict,
         timeout: float | None = None,
     ) -> dict:
-        """Delta ingest on the shard owner: extend, snapshot, return info.
+        """Delta ingest on the shard owner; returns the append info.
 
-        The append is routed to the worker that owns the *current*
-        fingerprint (it likely holds the relation resident); the worker
-        extends the relation through the same
-        :meth:`~repro.relations.relation.Relation.extended_with` path
-        the in-process registry uses, writes the new version's snapshot
-        (chain in ``extra``) under the shared spill directory, and
-        returns the append info for
-        :meth:`~repro.service.registry.DatasetRegistry.adopt_appended`.
-        The new fingerprint generally hashes to a *different* shard
-        owner, which hydrates from that snapshot on first use — the
-        snapshot write is therefore mandatory, not advisory, and its
-        failure fails the append.
+        The ``remote`` hook of
+        :meth:`~repro.service.registry.DatasetRegistry.append_rows`.  The
+        append is routed to the worker that owns the *current*
+        fingerprint (it likely holds the relation resident), which runs
+        the registry's own :func:`~repro.service.registry.append_version`
+        and writes the new version's CSV spill and snapshot (chain in
+        ``extra``) under the shared spill directory.  The new fingerprint
+        generally hashes to a *different* shard owner, which hydrates
+        from that snapshot on first use — the snapshot write is
+        therefore mandatory, not advisory, and its failure fails the
+        append.
         """
         spill_dir = self._registry.spill_dir
-        if spill_dir is None or not self._registry.snapshots_enabled:
-            raise ServiceError(
-                "cluster append requires snapshots and a spill directory"
-            )
-        with self._lock:
-            if self._closed:
-                raise ServiceError("cluster is shut down")
-        self._c_dispatched.inc()
-        try:
-            self._faults.check("cluster.dispatch")
-        except InjectedFaultError as exc:
-            self._c_dispatch_failures.inc()
-            raise DispatchError(str(exc)) from exc
-        spec = self._registry.hydration_spec(fingerprint)
-        worker_id = self._shards.owner(fingerprint)
-        handle = self._live_handle(worker_id)
-        body = {
-            "fingerprint": fingerprint,
-            "operation": APPEND_OP,
-            "append_rows": [list(row) for row in rows],
-            "chain": chain,
-            "spill_dir": str(spill_dir),
-            "snapshot_dir": spec["snapshot_dir"],
-            "source": spec["source"],
-            "chunk_rows": spec["chunk_rows"],
-        }
-        try:
-            response = handle.request(body, timeout=timeout)
-        except (WorkerCrashedError, DispatchError):
-            self._c_dispatch_failures.inc()
-            raise
-        self._fold_worker_telemetry(worker_id, response, None)
-        if response.get("ok"):
-            info = response.get("report")
-            if not isinstance(info, dict) or "fingerprint" not in info:
-                self._c_dispatch_failures.inc()
-                raise DispatchError(
-                    f"worker {worker_id} returned malformed append info "
-                    f"({type(info).__name__})"
-                )
-            if info.get("changed"):
-                # Fold any memos the worker reported into the *new*
-                # version's sidecar (the old version's memos are stale:
-                # every marginal changed with N).
-                new_dir = Path(spill_dir) / f"snapshot-{info['fingerprint']}"
-                self._fold_memo_delta(
-                    {"snapshot_dir": str(new_dir)},
-                    response.get("memo_delta"),
-                )
-            self._registry.note_remote_outcome(fingerprint, ok=True)
-            return info
-        message = str(response.get("error") or "worker reported failure")
-        kind = response.get("error_kind")
-        if kind == "degraded":
-            self._registry.note_remote_outcome(
-                fingerprint, ok=False, reason=message
-            )
-            raise DatasetDegradedError(message)
-        if kind == "repro":
-            raise ReproError(message)
-        raise RuntimeError(f"worker {worker_id} failed the append: {message}")
+        if spill_dir is None:
+            raise ServiceError("cluster append requires a spill directory")
+        _, response = self._dispatch(
+            fingerprint,
+            APPEND_OP,
+            {
+                "append_rows": [list(row) for row in rows],
+                "chain": chain,
+                "spill_dir": str(spill_dir),
+            },
+            timeout=timeout,
+        )
+        return response["report"]
 
     def _fold_worker_telemetry(
         self,
@@ -904,8 +873,16 @@ class _WorkerRuntime:
     def resident(self) -> list[str]:
         return list(self._relations)
 
+    def _keep(self, fingerprint: str, relation) -> None:
+        """Hold ``relation`` resident, dropping the least recently used."""
+        self._relations[fingerprint] = relation
+        self._relations.move_to_end(fingerprint)
+        while len(self._relations) > self._max_resident:
+            self._relations.popitem(last=False)
+
     def _relation_for(self, message: dict):
-        """Local cache → snapshot → CSV; returns ``(relation, origin)``."""
+        """Local cache, else :func:`~repro.relations.persist.hydrate_relation`;
+        returns ``(relation, origin)``."""
         from repro.relations.persist import hydrate_relation
 
         fingerprint = message["fingerprint"]
@@ -919,10 +896,30 @@ class _WorkerRuntime:
             source=message.get("source"),
             chunk_rows=message.get("chunk_rows"),
         )
-        self._relations[fingerprint] = relation
-        while len(self._relations) > self._max_resident:
-            self._relations.popitem(last=False)
+        self._keep(fingerprint, relation)
         return relation, origin
+
+    def _error_frame(self, base: dict, exc: Exception, degraded: tuple) -> dict:
+        """The one failed ``res`` frame.
+
+        ``error_kind`` tells the dispatcher which typed error to raise:
+        ``degraded`` (the dataset cannot be materialized or persisted —
+        exceptions of the ``degraded`` types), ``repro`` (a client error)
+        or ``internal`` (anything else, with its type in the message).
+        """
+        if isinstance(exc, degraded):
+            kind, message = "degraded", str(exc)
+        elif isinstance(exc, ReproError):
+            kind, message = "repro", str(exc)
+        else:
+            kind, message = "internal", f"{type(exc).__name__}: {exc}"
+        return {
+            **base,
+            "ok": False,
+            "error": message,
+            "error_kind": kind,
+            "resident": self.resident(),
+        }
 
     def handle(self, message: dict) -> dict:
         """Run one dispatched operation; always returns a ``res`` frame."""
@@ -930,37 +927,28 @@ class _WorkerRuntime:
         from repro.info.engine import EntropyEngine
         from repro.service.operations import run_operation
 
-        request_id = message.get("id")
-        base = {"t": "res", "id": request_id}
-        if message.get("operation") == APPEND_OP:
-            return self._handle_append(message, base)
+        base = {"t": "res", "id": message.get("id")}
         timings = StageTimings()
         started = time.perf_counter()
         try:
             with timings.span("hydrate"):
                 relation, origin = self._relation_for(message)
-        except (SnapshotError, DatasetDegradedError) as exc:
-            return {
-                **base,
-                "ok": False,
-                "error": str(exc),
-                "error_kind": "degraded",
-                "resident": self.resident(),
-            }
-        except ReproError as exc:
-            return {
-                **base,
-                "ok": False,
-                "error": str(exc),
-                "error_kind": "repro",
-                "resident": self.resident(),
-            }
         except Exception as exc:
+            return self._error_frame(
+                base, exc, (SnapshotError, DatasetDegradedError)
+            )
+        if message.get("operation") == APPEND_OP:
+            try:
+                info = self._append(message, relation)
+            except Exception as exc:
+                # A snapshot that cannot be written fails the append: it
+                # is how the new fingerprint's shard owner materializes it.
+                return self._error_frame(base, exc, (SnapshotError, OSError))
+            self.jobs_done += 1
             return {
                 **base,
-                "ok": False,
-                "error": f"{type(exc).__name__}: {exc}",
-                "error_kind": "internal",
+                "ok": True,
+                "report": info,
                 "resident": self.resident(),
             }
         engine = EntropyEngine.for_relation(relation)
@@ -981,24 +969,8 @@ class _WorkerRuntime:
                 timings=timings,
             )
             validate_report(report)
-        except WorkerCrashInjection:
-            raise  # the main loop turns this into an abrupt process exit
-        except ReproError as exc:
-            return {
-                **base,
-                "ok": False,
-                "error": str(exc),
-                "error_kind": "repro",
-                "resident": self.resident(),
-            }
-        except Exception as exc:
-            return {
-                **base,
-                "ok": False,
-                "error": f"{type(exc).__name__}: {exc}",
-                "error_kind": "internal",
-                "resident": self.resident(),
-            }
+        except Exception as exc:  # a WorkerCrashInjection passes through
+            return self._error_frame(base, exc, ())
         delta = [
             [list(key), float(value)]
             for key, value in engine.cache_snapshot().items()
@@ -1020,154 +992,39 @@ class _WorkerRuntime:
             "telemetry": self._job_telemetry(message, timings, origin, elapsed),
         }
 
-    def _handle_append(self, message: dict, base: dict) -> dict:
+    def _append(self, message: dict, relation) -> dict:
         """Delta ingest on the shard owner (the ``__append__`` pseudo-op).
 
-        Hydrates the current version, extends it through
-        :meth:`~repro.relations.relation.Relation.extended_with` (only
-        the delta is dictionary-coded), and writes the new version's
-        verified snapshot — chain in ``extra`` — into the shared spill
-        directory, where the new fingerprint's owning worker (usually a
-        different process) hydrates it on first use.  The old version
-        stays out of the resident LRU; the new one replaces it.
+        Runs :func:`~repro.service.registry.append_version` — the
+        in-process registry's own routine — and writes the new version's
+        CSV spill and snapshot into the shared spill directory, where the
+        new fingerprint's owning worker (usually a different process)
+        hydrates it on first use.  Files that already exist for the new
+        fingerprint belong to the dataset the content coincides with and
+        are left alone.  The new version replaces the old one in the
+        resident LRU.
         """
-        from repro.relations.io import infer_integer_domains
-        from repro.relations.persist import (
-            CHAIN_KEY,
-            save_snapshot,
-            validate_chain,
+        from repro.service.registry import (
+            append_version,
+            spill_csv,
+            write_snapshot,
         )
-        from repro.relations.relation import Relation
-        from repro.relations.schema import RelationSchema
 
-        try:
-            relation, origin = self._relation_for(message)
-        except (SnapshotError, DatasetDegradedError) as exc:
-            return {
-                **base,
-                "ok": False,
-                "error": str(exc),
-                "error_kind": "degraded",
-                "resident": self.resident(),
-            }
-        except ReproError as exc:
-            return {
-                **base,
-                "ok": False,
-                "error": str(exc),
-                "error_kind": "repro",
-                "resident": self.resident(),
-            }
-        except Exception as exc:
-            return {
-                **base,
-                "ok": False,
-                "error": f"{type(exc).__name__}: {exc}",
-                "error_kind": "internal",
-                "resident": self.resident(),
-            }
-        start = time.perf_counter()
-        old_fingerprint = message["fingerprint"]
-        try:
-            chain = validate_chain(message["chain"])
-            rows = [tuple(row) for row in message["append_rows"]]
-            appended = infer_integer_domains(relation.extended_with(rows))
-            new_fingerprint = appended.fingerprint()
-            if new_fingerprint == old_fingerprint:
-                # Every submitted row was already present (set
-                # semantics): same content, same version, nothing to
-                # persist or re-home.
-                self.jobs_done += 1
-                return {
-                    **base,
-                    "ok": True,
-                    "report": {
-                        "fingerprint": old_fingerprint,
-                        "previous_fingerprint": old_fingerprint,
-                        "changed": False,
-                        "version": chain["version"],
-                        "chain": chain,
-                        "rows_submitted": len(rows),
-                        "rows_added": 0,
-                        "n_rows": len(relation),
-                        "n_cols": len(relation.attributes),
-                        "snapshot": False,
-                        "wall_time_s": time.perf_counter() - start,
-                    },
-                    "origin": origin,
-                    "memo_delta": [],
-                    "resident": self.resident(),
-                }
-            names = list(relation.attributes)
-            chunk_fingerprint = Relation(
-                RelationSchema.from_names(names), rows, validate=False
-            ).fingerprint()
-            new_chain = validate_chain(
-                {
-                    "base": chain["base"],
-                    "chunks": chain["chunks"] + [chunk_fingerprint],
-                    "version": chain["version"] + 1,
-                }
+        appended, info = append_version(
+            relation, message["append_rows"], message["chain"]
+        )
+        if info["changed"]:
+            spill_dir = Path(message["spill_dir"])
+            write_snapshot(
+                appended,
+                spill_dir / f"snapshot-{info['fingerprint']}",
+                source=spill_csv(appended, spill_dir),
+                chunk_rows=message.get("chunk_rows"),
+                chain=info["chain"],
             )
-            snapshot_dir = (
-                Path(message["spill_dir"]) / f"snapshot-{new_fingerprint}"
-            )
-            extra = {CHAIN_KEY: new_chain}
-            if message.get("chunk_rows") is not None:
-                extra["chunk_rows"] = message["chunk_rows"]
-            save_snapshot(appended, snapshot_dir, source=None, extra=extra)
-        except (SnapshotError, OSError) as exc:
-            # The snapshot is how the new fingerprint's shard owner will
-            # materialize the data — failing to write it fails the
-            # append rather than stranding an unhydratable version.
-            return {
-                **base,
-                "ok": False,
-                "error": str(exc),
-                "error_kind": "degraded",
-                "resident": self.resident(),
-            }
-        except ReproError as exc:
-            return {
-                **base,
-                "ok": False,
-                "error": str(exc),
-                "error_kind": "repro",
-                "resident": self.resident(),
-            }
-        except Exception as exc:
-            return {
-                **base,
-                "ok": False,
-                "error": f"{type(exc).__name__}: {exc}",
-                "error_kind": "internal",
-                "resident": self.resident(),
-            }
-        self._relations.pop(old_fingerprint, None)
-        self._relations[new_fingerprint] = appended
-        while len(self._relations) > self._max_resident:
-            self._relations.popitem(last=False)
-        self.jobs_done += 1
-        return {
-            **base,
-            "ok": True,
-            "report": {
-                "fingerprint": new_fingerprint,
-                "previous_fingerprint": old_fingerprint,
-                "changed": True,
-                "version": new_chain["version"],
-                "chain": new_chain,
-                "rows_submitted": len(rows),
-                "rows_added": len(appended) - len(relation),
-                "n_rows": len(appended),
-                "n_cols": len(names),
-                "snapshot": True,
-                "wall_time_s": time.perf_counter() - start,
-            },
-            "origin": origin,
-            "memo_delta": [],
-            "resident": self.resident(),
-        }
+            self._relations.pop(message["fingerprint"], None)
+            self._keep(info["fingerprint"], appended)
+        return info
 
 
 def _worker_plan() -> FaultPlan:

@@ -39,8 +39,10 @@ class ServiceConfig:
     cache_entries:
         In-memory result-cache capacity (LRU).
     spill_dir:
-        Directory for the result cache's on-disk spill and for inline
-        CSV uploads; ``None`` disables both (cache is memory-only and
+        Directory for the result cache's on-disk spill, inline CSV
+        uploads, and the persistent columnar snapshots that eviction
+        reloads and warm restarts prefer (zero-parse mmap instead of CSV
+        re-ingest); ``None`` disables all three (cache is memory-only and
         inline datasets cannot be re-ingested after eviction).
     default_deadline_s:
         Deadline applied to jobs that do not set one; ``None`` means
@@ -60,11 +62,6 @@ class ServiceConfig:
         How long after an incident (worker crash, spill quarantine,
         dataset degradation) ``/healthz`` keeps reporting ``degraded``
         even once the underlying state has healed.
-    snapshots:
-        Write persistent columnar snapshots beside the spill CSVs and
-        prefer them for eviction reloads and warm restarts (zero-parse
-        mmap instead of CSV re-ingest).  Requires ``spill_dir``; with no
-        spill dir the flag is inert.
     max_batch_ops:
         Upper bound on the number of operations one ``POST /jobs/batch``
         submission may carry.
@@ -104,14 +101,6 @@ class ServiceConfig:
     request_log_capacity:
         Bound on the request-log writer queue; beyond it lines are
         dropped and counted (``telemetry_log_dropped_total``).
-    stats_cache_ttl_s:
-        How long one assembled registry-stats snapshot is reused by
-        ``GET /stats`` before being rebuilt.  Monitoring pollers within
-        the TTL read the cached document without touching the registry
-        lock.  Even at the default ``0`` (rebuild every call) a scrape
-        never *waits* on the registry lock: when a mine or append holds
-        it, the previous document is served stale instead of queueing
-        behind the serving path.
     """
 
     host: str = "127.0.0.1"
@@ -126,7 +115,6 @@ class ServiceConfig:
     breaker_failures: int = 5
     breaker_cooldown_s: float = 5.0
     health_incident_ttl_s: float = 60.0
-    snapshots: bool = True
     max_batch_ops: int = 64
     worker_procs: int = 0
     worker_inflight: int = 8
@@ -135,7 +123,6 @@ class ServiceConfig:
     telemetry: bool = True
     request_log_path: str | Path | None = None
     request_log_capacity: int = 1024
-    stats_cache_ttl_s: float = 0.0
 
     def __post_init__(self) -> None:
         if self.port < 0 or self.port > 65535:
@@ -204,8 +191,4 @@ class ServiceConfig:
             raise ServiceError(
                 "request_log_capacity must be >= 1, got "
                 f"{self.request_log_capacity}"
-            )
-        if self.stats_cache_ttl_s < 0:
-            raise ServiceError(
-                f"stats_cache_ttl_s must be >= 0, got {self.stats_cache_ttl_s}"
             )

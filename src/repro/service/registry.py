@@ -67,8 +67,7 @@ from repro.relations.persist import (
     META_FILE,
     atomic_write_text,
     chain_from_meta,
-    load_engine_memo,
-    load_snapshot,
+    hydrate_relation,
     quarantine_snapshot,
     read_snapshot_meta,
     save_engine_memo,
@@ -95,6 +94,117 @@ def resident_bytes(relation: Relation) -> int:
     code_bytes = sum(col.nbytes for col in store.codes)
     # ~56 bytes/cell: tuple slot + the (often shared) value object.
     return int(code_bytes + 56 * n * arity + 64 * sum(store.cards))
+
+
+def append_version(
+    relation: Relation, rows: list, chain: dict
+) -> tuple[Relation, dict]:
+    """Extend ``relation`` by ``rows``: the next dataset version plus its info.
+
+    The one append routine of the service, in both modes: the registry
+    calls it in process and each cluster worker calls it for the
+    ``__append__`` operation.  The relation is **extended, not rebuilt**
+    (:meth:`Relation.extended_with` dictionary-codes only the delta), so
+    the result's fingerprint equals a from-scratch ingest of the
+    concatenated source.  ``chain`` is the current version's fingerprint
+    chain; a changed version gains the delta's own content fingerprint.
+
+    Relations are row **sets**: a delta that deduplicates away entirely
+    is a no-op (``info["changed"]`` is ``False``, same fingerprint, same
+    chain), so every memo and cached result stays valid.  The info dict
+    always has the same keys — the append response's core.  Raises
+    :class:`~repro.errors.SchemaError` for rows of the wrong arity.
+    """
+    start = time.perf_counter()
+    rows = [tuple(row) for row in rows]
+    chain = validate_chain(chain)
+    appended = (
+        infer_integer_domains(relation.extended_with(rows)) if rows else relation
+    )
+    changed = appended.fingerprint() != relation.fingerprint()
+    if changed:
+        chunk = Relation(
+            RelationSchema.from_names(relation.schema.names), rows, validate=False
+        )
+        chain = validate_chain(
+            {
+                "base": chain["base"],
+                "chunks": [*chain["chunks"], chunk.fingerprint()],
+                "version": chain["version"] + 1,
+            }
+        )
+    return appended, {
+        "fingerprint": appended.fingerprint(),
+        "previous_fingerprint": relation.fingerprint(),
+        "changed": changed,
+        "version": chain["version"],
+        "chain": chain,
+        "rows_submitted": len(rows),
+        "rows_added": len(appended) - len(relation),
+        "n_rows": len(appended),
+        "wall_time_s": time.perf_counter() - start,
+    }
+
+
+def spill_csv(relation: Relation, spill_dir: Path) -> str | None:
+    """Write ``relation`` as ``dataset-<fingerprint>.csv`` unless it exists.
+
+    The CSV-fallback source of an appended version (the original source
+    no longer matches the content).  Rows are written in deterministic
+    order; the re-ingest re-verifies the fingerprint, so a value that
+    cannot round-trip through CSV text degrades the entry loudly instead
+    of serving wrong data.  A file that exists already holds this very
+    content and is left alone.  Returns the path, or ``None`` when it
+    cannot be written (best effort: the snapshot is preferred anyway).
+    """
+    import csv
+    from io import StringIO
+
+    kept = spill_dir / f"dataset-{relation.fingerprint()}.csv"
+    if not kept.exists():
+        buffer = StringIO()
+        writer = csv.writer(buffer)
+        writer.writerow(relation.schema.names)
+        writer.writerows(relation.sorted_rows())
+        try:
+            atomic_write_text(kept, buffer.getvalue())
+        except OSError:
+            return None
+    return str(kept)
+
+
+def write_snapshot(
+    relation: Relation,
+    snapshot_dir: Path,
+    *,
+    source: str | None,
+    chunk_rows: int | None,
+    chain: dict,
+) -> bool:
+    """Save ``relation``'s snapshot unless one exists; return whether it wrote.
+
+    Snapshots are keyed by content fingerprint, so an existing one is
+    never rewritten: it belongs to the dataset that first produced the
+    content, with that dataset's chain.  Raises
+    :class:`~repro.errors.SnapshotError` when the relation cannot be
+    snapshotted (the ``1 == True == 1.0`` collapse) or the write fails.
+    """
+    if (snapshot_dir / META_FILE).exists():
+        return False
+    extra: dict = {}
+    if chunk_rows is not None:
+        extra["chunk_rows"] = chunk_rows
+    if chain["version"] > 1:
+        extra[CHAIN_KEY] = chain
+    save_snapshot(relation, snapshot_dir, source=source, extra=extra or None)
+    return True
+
+
+#: Fault sites armed before each hydration route is tried.
+_ROUTE_FAULT_SITES = {
+    "snapshot": "registry.snapshot_load",
+    "csv": "registry.reingest",
+}
 
 
 @dataclass
@@ -179,7 +289,6 @@ class DatasetRegistry:
         memory_budget_bytes: int | None = None,
         spill_dir: str | Path | None = None,
         faults: FaultPlan | None = None,
-        snapshots: bool = True,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if memory_budget_bytes is not None and memory_budget_bytes < 1:
@@ -200,8 +309,6 @@ class DatasetRegistry:
         self._append_lock = threading.Lock()
         self._lock = threading.RLock()
         self.last_degrade_at: float | None = None  # time.monotonic()
-        #: Snapshots need somewhere durable to live: the spill dir.
-        self._snapshots_enabled = bool(snapshots) and self._spill_dir is not None
         # Counters live on the (shared) metrics registry so /stats and
         # /v1/metrics read the same instruments; standalone registries
         # get a private one.
@@ -249,10 +356,10 @@ class DatasetRegistry:
             "registry_snapshot_load_seconds",
             "Wall time hydrating a dataset from its columnar snapshot",
         )
-        #: One assembled stats() document reused for a short TTL so
-        #: monitoring pollers never contend with the serving path.
-        self._stats_cache: tuple[float, dict] | None = None
-        if self._snapshots_enabled:
+        #: The last assembled stats() document, served stale while the
+        #: registry lock is held so monitoring never waits on serving.
+        self._stats_cache: dict | None = None
+        if self._spill_dir is not None:
             self._restore_from_snapshots()
 
     # Counter attributes stay readable while the values live on the
@@ -320,6 +427,18 @@ class DatasetRegistry:
         assert self._spill_dir is not None
         return self._spill_dir / f"snapshot-{fingerprint}"
 
+    def _has_snapshot(self, fingerprint: str) -> bool:
+        return (
+            self._spill_dir is not None
+            and (self._snapshot_path(fingerprint) / META_FILE).exists()
+        )
+
+    def _quarantine(self, snapshot_dir: Path) -> None:
+        """Move a malformed snapshot aside and count it."""
+        quarantine_snapshot(snapshot_dir)
+        with self._lock:
+            self._c_snapshot_quarantined.inc()
+
     def _restore_from_snapshots(self) -> None:
         """Adopt on-disk snapshots as metadata-only entries (warm restart).
 
@@ -337,16 +456,14 @@ class DatasetRegistry:
             try:
                 meta = read_snapshot_meta(snapshot_dir)
             except SnapshotError:
-                quarantine_snapshot(snapshot_dir)
-                self._c_snapshot_quarantined.inc()
+                self._quarantine(snapshot_dir)
                 continue
             fingerprint = meta["fingerprint"]
             if (
                 snapshot_dir.name != f"snapshot-{fingerprint}"
                 or fingerprint in self._entries
             ):
-                quarantine_snapshot(snapshot_dir)
-                self._c_snapshot_quarantined.inc()
+                self._quarantine(snapshot_dir)
                 continue
             source = (meta.get("source") or {}).get("path")
             chunk_rows = (meta.get("extra") or {}).get("chunk_rows")
@@ -382,73 +499,28 @@ class DatasetRegistry:
         and is simply not snapshotted — its CSV source remains the
         reload path, exactly as before this feature existed.
         """
-        if not self._snapshots_enabled:
+        if self._spill_dir is None:
             return
-        snapshot_dir = self._snapshot_path(entry.fingerprint)
-        if (snapshot_dir / META_FILE).exists():
-            entry.snapshot = True
-            return
-        extra: dict = {}
-        if entry.chunk_rows is not None:
-            extra["chunk_rows"] = entry.chunk_rows
-        if entry.version > 1:
-            extra[CHAIN_KEY] = entry.chain()
         try:
-            save_snapshot(
+            written = write_snapshot(
                 relation,
-                snapshot_dir,
+                self._snapshot_path(entry.fingerprint),
                 source=entry.source,
-                extra=extra or None,
+                chunk_rows=entry.chunk_rows,
+                chain=entry.chain(),
             )
         except (SnapshotError, OSError):
             with self._lock:
                 self._c_snapshot_write_failures.inc()
-        else:
-            entry.snapshot = True
+            return
+        entry.snapshot = True
+        if written:
             with self._lock:
                 self._c_snapshot_writes.inc()
 
-    def _load_snapshot_for(self, entry: DatasetEntry) -> Relation | None:
-        """Load the entry's snapshot, or ``None`` (caller holds entry lock).
-
-        Any failure — corrupt metadata, torn arrays, fingerprint or
-        shape mismatch, injected fault — quarantines the snapshot and
-        returns ``None`` so the caller falls back to CSV re-ingest.
-        On success the spilled entropy memo (if any) is merged into the
-        relation's resident engine.
-        """
-        if not self._snapshots_enabled:
-            return None
-        snapshot_dir = self._snapshot_path(entry.fingerprint)
-        if not (snapshot_dir / META_FILE).exists():
-            return None
-        try:
-            self._faults.check("registry.snapshot_load")
-            relation = load_snapshot(
-                snapshot_dir,
-                expected_fingerprint=entry.fingerprint,
-                domains=True,
-            )
-        except (SnapshotError, OSError, ServiceError):
-            quarantine_snapshot(snapshot_dir)
-            entry.snapshot = False
-            with self._lock:
-                self._c_snapshot_quarantined.inc()
-            return None
-        entry.snapshot = True
-        try:
-            memo = load_engine_memo(snapshot_dir)
-        except SnapshotError:
-            memo = {}
-        if memo:
-            added = EntropyEngine.for_relation(relation).merge_cache(memo)
-            with self._lock:
-                self._c_memo_entries_restored.inc(added)
-        return relation
-
     def _spill_engine_memo(self, entry: DatasetEntry) -> None:
         """Spill a resident engine's memo beside the snapshot (best effort)."""
-        if not self._snapshots_enabled:
+        if self._spill_dir is None:
             return
         relation = entry.relation
         if relation is None or relation._engine is None:
@@ -471,7 +543,7 @@ class DatasetRegistry:
         falls through to a full ingest, which re-verifies content the
         usual way.
         """
-        if not self._snapshots_enabled:
+        if self._spill_dir is None:
             return None
         with self._lock:
             candidates = [
@@ -618,202 +690,109 @@ class DatasetRegistry:
         """The registry's spill directory (``None`` when not configured)."""
         return self._spill_dir
 
-    @property
-    def snapshots_enabled(self) -> bool:
-        return self._snapshots_enabled
-
-    def append_rows(self, fingerprint: str, rows: list) -> tuple[DatasetEntry, dict]:
+    def append_rows(
+        self, fingerprint: str, rows: list, *, remote=None
+    ) -> tuple[DatasetEntry, dict]:
         """Append ``rows`` to a registered dataset; returns ``(entry, info)``.
 
-        The delta-ingest tentpole.  The resident relation is **extended,
-        not rebuilt**: its columnar store seeds a
-        :class:`~repro.relations.builder.ColumnStoreBuilder`
-        (:meth:`Relation.extended_with`), so only the delta is
-        dictionary-coded and the result's fingerprint provably equals a
-        from-scratch ingest of the concatenated source.  The entry is
-        re-keyed under the new content fingerprint, the superseded
-        fingerprint becomes an alias (:meth:`resolve`), the fingerprint
-        chain gains the delta's own content fingerprint, and the
-        snapshot + memo sidecar are rewritten atomically at the new
-        version while the superseded version's spill files are retired.
+        One path for both service modes.  In process, the current version
+        is materialized and extended by :func:`append_version`, and its
+        CSV spill and snapshot are written here.  In cluster mode
+        ``remote`` — :meth:`~repro.service.cluster.ClusterSupervisor.append`
+        — runs the same routine in the shard owner's process, which
+        writes those files into the shared spill directory and returns
+        only the info; the new version then hydrates from its snapshot on
+        first front-end use.  Either way the entry is re-keyed by
+        :meth:`_adopt`, and appends are serialized, so each one extends
+        the version the previous one produced.
 
-        Exact entropy memos are invalidated *selectively*: relations are
-        row **sets**, so any delta that survives deduplication changes
-        the row count — and with it every marginal distribution — which
-        makes the sound selective rule all-or-nothing.  A delta that
-        deduplicates away entirely is a **no-op**: same fingerprint,
-        same version, every memo and cached result stays valid
-        (``info["changed"]`` is ``False``).
+        Exact entropy memos are invalidated *selectively*: any delta that
+        survives deduplication changes the row count — and with it every
+        marginal distribution — so the sound selective rule is
+        all-or-nothing, and a no-op append keeps everything.
 
         Raises :class:`~repro.errors.UnknownDatasetError` for unknown
         fingerprints, :class:`~repro.errors.DatasetDegradedError` when
         the current version cannot be materialized, and
         :class:`~repro.errors.SchemaError` for rows of the wrong arity.
         """
-        start = time.perf_counter()
-        rows = [tuple(row) for row in rows]
         with self._append_lock:
             entry = self._touch(fingerprint)
-            old_fp = entry.fingerprint
-            relation = self.relation(old_fp)
-            old_n_rows = len(relation)
-            appended = (
-                infer_integer_domains(relation.extended_with(rows))
-                if rows
-                else relation
-            )
-            new_fp = appended.fingerprint()
-            if new_fp == old_fp:
-                with self._lock:
-                    self._c_append_noops.inc()
-                return entry, {
-                    "fingerprint": old_fp,
-                    "previous_fingerprint": old_fp,
-                    "changed": False,
-                    "version": entry.version,
-                    "chain": entry.chain(),
-                    "rows_submitted": len(rows),
-                    "rows_added": 0,
-                    "n_rows": old_n_rows,
-                    "wall_time_s": time.perf_counter() - start,
-                }
-            chunk_fp = Relation(
-                RelationSchema.from_names(entry.attributes),
-                rows,
-                validate=False,
-            ).fingerprint()
-            with self._lock:
-                existing = self._entries.get(new_fp)
-                if existing is not None and existing is not entry:
-                    # The appended content coincides with another
-                    # registered dataset: fold into that entry instead
-                    # of keying two entries to one fingerprint.
-                    del self._entries[old_fp]
-                    self._aliases[old_fp] = new_fp
-                    if existing.relation is None:
-                        existing.relation = appended
-                        existing.resident_bytes = resident_bytes(appended)
-                    existing.degraded = False
-                    existing.degraded_reason = None
-                    self._entries.move_to_end(new_fp)
-                    self._c_appends.inc()
-                    entry = existing
-                else:
-                    del self._entries[old_fp]
-                    self._aliases[old_fp] = new_fp
-                    entry.fingerprint = new_fp
-                    entry.base_fingerprint = entry.base_fingerprint or old_fp
-                    entry.chunk_fingerprints = [
-                        *entry.chunk_fingerprints,
-                        chunk_fp,
-                    ]
-                    entry.version += 1
-                    entry.appends += 1
-                    entry.relation = appended
-                    entry.attributes = appended.schema.names
-                    entry.n_rows = len(appended)
-                    entry.n_cols = appended.schema.arity
-                    entry.resident_bytes = resident_bytes(appended)
-                    entry.snapshot = False
-                    entry.degraded = False
-                    entry.degraded_reason = None
-                    self._entries[new_fp] = entry
-                    self._c_appends.inc()
-                    self._c_append_rows_added.inc(len(appended) - old_n_rows)
-                self._evict_over_budget()
-            # Publish the new version's durable forms, then retire the
-            # superseded one's (its snapshot must not resurrect the old
-            # fingerprint as a separate dataset on the next restart).
-            entry.source = self._spill_concatenated_csv(appended, new_fp)
-            self._maybe_write_snapshot(entry, appended)
-            self._retire_version_files(old_fp)
-            relation.release_engines()
-            return entry, {
-                "fingerprint": new_fp,
-                "previous_fingerprint": old_fp,
-                "changed": True,
-                "version": entry.version,
-                "chain": entry.chain(),
-                "rows_submitted": len(rows),
-                "rows_added": len(appended) - old_n_rows,
-                "n_rows": len(appended),
-                "wall_time_s": time.perf_counter() - start,
-            }
+            appended = None
+            if remote is not None:
+                info = remote(entry.fingerprint, rows, chain=entry.chain())
+            else:
+                relation = self.relation(entry.fingerprint)
+                appended, info = append_version(relation, rows, entry.chain())
+                if info["changed"] and self._spill_dir is not None:
+                    spill_csv(appended, self._spill_dir)
+            entry = self._adopt(entry, info, appended)
+            if appended is not None and info["changed"]:
+                self._maybe_write_snapshot(entry, appended)
+            return entry, info
 
-    def adopt_appended(self, old_fingerprint: str, info: dict) -> DatasetEntry:
-        """Re-key an entry after a *worker-side* append (cluster mode).
+    def _adopt(
+        self, entry: DatasetEntry, info: dict, appended: Relation | None
+    ) -> DatasetEntry:
+        """Re-key ``entry`` to the version ``info`` describes.
 
-        The shard's owning worker extended the relation and wrote the
-        new version's snapshot (see
-        :meth:`repro.service.cluster.ClusterSupervisor.append`); the
-        front end — which never materialized the data — adopts the
-        result as metadata: new fingerprint, chain, row count, alias,
-        retired old spill files.  The relation itself hydrates lazily
-        from the worker-written snapshot on first front-end use.
+        The superseded fingerprint becomes an alias (:meth:`resolve`), its
+        spill files are retired (its snapshot must not resurrect it as a
+        separate dataset on the next restart) and its relation drops its
+        cached engine.  ``appended`` is the new relation when this process
+        built it, ``None`` when a worker did.  Content that coincides with
+        another registered dataset folds into that entry, which keeps its
+        source, version and chain; ``info`` then reports that entry's
+        version and chain.
         """
-        chain = validate_chain(info["chain"])
-        new_fp = str(info["fingerprint"])
-        with self._append_lock:
+        if not info["changed"]:
             with self._lock:
-                entry = self._entries.get(old_fingerprint)
-                if entry is None:
-                    raise UnknownDatasetError(
-                        "no dataset registered with fingerprint "
-                        f"{old_fingerprint!r}"
-                    )
-                del self._entries[old_fingerprint]
-                self._aliases[old_fingerprint] = new_fp
+                self._c_append_noops.inc()
+            return entry
+        old_fp, new_fp = entry.fingerprint, info["fingerprint"]
+        superseded = entry.relation
+        with self._lock:
+            del self._entries[old_fp]
+            self._aliases[old_fp] = new_fp
+            existing = self._entries.get(new_fp)
+            if existing is None:
+                chain = info["chain"]
                 entry.fingerprint = new_fp
                 entry.version = chain["version"]
                 entry.base_fingerprint = chain["base"]
                 entry.chunk_fingerprints = list(chain["chunks"])
                 entry.appends += 1
-                if entry.relation is not None:
-                    entry.relation.release_engines()
+                entry.n_rows = info["n_rows"]
                 entry.relation = None
                 entry.resident_bytes = 0
-                entry.n_rows = int(info["n_rows"])
-                entry.n_cols = int(info["n_cols"])
-                entry.source = None
-                entry.snapshot = bool(info.get("snapshot"))
-                entry.degraded = False
-                entry.degraded_reason = None
+                entry.source = self._spilled_csv(new_fp)
+                entry.snapshot = self._has_snapshot(new_fp)
                 self._entries[new_fp] = entry
-                self._c_appends.inc()
-                rows_added = info.get("rows_added")
-                if isinstance(rows_added, int) and rows_added > 0:
-                    self._c_append_rows_added.inc(rows_added)
-            self._retire_version_files(old_fingerprint)
-            return entry
+            else:
+                entry = existing
+                self._entries.move_to_end(new_fp)
+            if entry.relation is None and appended is not None:
+                entry.relation = appended
+                entry.resident_bytes = resident_bytes(appended)
+            entry.degraded = False
+            entry.degraded_reason = None
+            self._c_appends.inc()
+            self._c_append_rows_added.inc(info["rows_added"])
+            self._evict_over_budget()
+        self._retire_version_files(old_fp)
+        if superseded is not None:
+            superseded.release_engines()
+        info["version"] = entry.version
+        info["chain"] = entry.chain()
+        return entry
 
-    def _spill_concatenated_csv(
-        self, relation: Relation, fingerprint: str
-    ) -> str | None:
-        """Persist the appended content as a CSV source (best effort).
-
-        Keeps the CSV-fallback reload path alive for appended versions
-        (the original source file no longer matches the content).  Rows
-        are written in deterministic order; the re-ingest re-verifies
-        the fingerprint, so a value that cannot round-trip through CSV
-        text degrades the entry loudly instead of serving wrong data —
-        and the columnar snapshot, which is exact, is always preferred.
-        """
+    def _spilled_csv(self, fingerprint: str) -> str | None:
+        """The spill CSV of ``fingerprint`` if one exists (an appended
+        version's CSV-fallback source)."""
         if self._spill_dir is None:
             return None
-        import csv
-        from io import StringIO
-
-        buffer = StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(relation.schema.names)
-        writer.writerows(relation.sorted_rows())
         kept = self._spill_dir / f"dataset-{fingerprint}.csv"
-        try:
-            self._spill_dir.mkdir(parents=True, exist_ok=True)
-            atomic_write_text(kept, buffer.getvalue())
-        except OSError:
-            return None
-        return str(kept)
+        return str(kept) if kept.exists() else None
 
     def _retire_version_files(self, fingerprint: str) -> None:
         """Remove a superseded version's spill files (best effort)."""
@@ -919,14 +898,13 @@ class DatasetRegistry:
         already paid its hit at submission.
         """
         entry = self._touch(fingerprint)
-        snapshot_dir: str | None = None
-        if self._snapshots_enabled:
-            candidate = self._snapshot_path(entry.fingerprint)
-            if (candidate / META_FILE).exists():
-                snapshot_dir = str(candidate)
         return {
             "fingerprint": entry.fingerprint,
-            "snapshot_dir": snapshot_dir,
+            "snapshot_dir": (
+                str(self._snapshot_path(entry.fingerprint))
+                if self._has_snapshot(entry.fingerprint)
+                else None
+            ),
             "source": entry.source,
             "chunk_rows": entry.chunk_rows,
         }
@@ -959,12 +937,17 @@ class DatasetRegistry:
                 self.last_degrade_at = time.monotonic()
 
     def relation(self, fingerprint: str) -> Relation:
-        """The dataset's relation, re-ingesting from source if evicted.
+        """The dataset's relation, hydrating it if evicted.
 
-        A failed re-ingest (source vanished, unreadable, or mutated)
+        Hydration goes through :func:`~repro.relations.persist.hydrate_relation`,
+        the route cluster workers take too: the columnar snapshot with
+        its memo sidecar, else the CSV source checked against the
+        fingerprint.  The registry adds its own bookkeeping: a rejected
+        snapshot is quarantined, a CSV reload heals the snapshot, and a
+        failed hydration (source vanished, unreadable, or mutated)
         demotes the entry to a degraded metadata-only state and raises
         :class:`~repro.errors.DatasetDegradedError`; later calls keep
-        retrying the source, so a restored file heals the entry.
+        retrying, so a restored source heals the entry.
         """
         entry = self._touch(fingerprint)
         with entry._lock:  # one reload per evicted dataset, not per caller
@@ -973,62 +956,48 @@ class DatasetRegistry:
             # A superseded (appended-over) fingerprint resolved to the
             # live entry: reload, verify, and re-key under the live one.
             fingerprint = entry.fingerprint
-            # Snapshot first: a zero-parse mmap of the code arrays.  A
-            # missing/corrupt snapshot falls through to the CSV source
-            # (the corrupt one is quarantined by _load_snapshot_for).
-            load_started = time.perf_counter()
-            relation = self._load_snapshot_for(entry)
-            if relation is not None:
-                self._h_snapshot_load.observe(time.perf_counter() - load_started)
-            reload_source = "snapshot"
-            if relation is None:
-                if entry.source is None:
-                    self._degrade(
-                        entry,
-                        "evicted with no source to re-ingest from (inline "
-                        "upload without a spill dir)",
-                    )
-                    raise DatasetDegradedError(
-                        f"dataset {fingerprint!r} is degraded: evicted with no "
-                        "source to re-ingest from (inline upload without a "
-                        "spill dir); re-register it"
-                    )
-                try:
-                    self._faults.check("registry.reingest")
-                    relation = self._ingest(entry.source, entry.chunk_rows)
-                except Exception as exc:
-                    self._degrade(entry, f"re-ingest from {entry.source} failed: {exc}")
-                    raise DatasetDegradedError(
-                        f"dataset {fingerprint!r} is degraded: re-ingesting "
-                        f"from {entry.source} failed: {exc}; restore the source "
-                        "or re-register the dataset"
-                    ) from exc
-                if relation.fingerprint() != fingerprint:
-                    self._degrade(
-                        entry,
-                        f"source {entry.source} changed on disk "
-                        f"(fingerprint {relation.fingerprint()!r})",
-                    )
-                    raise DatasetDegradedError(
-                        f"source {entry.source} changed on disk: re-ingested "
-                        f"fingerprint {relation.fingerprint()!r} != registered "
-                        f"{fingerprint!r}; re-register the dataset"
-                    )
-                reload_source = "csv"
+            started = time.perf_counter()
+            try:
+                relation, origin = hydrate_relation(
+                    expected_fingerprint=fingerprint,
+                    snapshot_path=(
+                        self._snapshot_path(fingerprint)
+                        if self._spill_dir is not None
+                        else None
+                    ),
+                    source=entry.source,
+                    chunk_rows=entry.chunk_rows,
+                    check=lambda route: self._faults.check(
+                        _ROUTE_FAULT_SITES[route]
+                    ),
+                    on_reject=self._quarantine,
+                )
+            except SnapshotError as exc:
+                self._degrade(entry, str(exc))
+                raise DatasetDegradedError(
+                    f"dataset {fingerprint!r} is degraded: {exc}; restore "
+                    "its source or re-register it"
+                ) from exc
             with self._lock:
+                if origin == "snapshot":
+                    self._h_snapshot_load.observe(time.perf_counter() - started)
+                    self._c_snapshot_reloads.inc()
+                    if relation._engine is not None:  # the merged memo sidecar
+                        self._c_memo_entries_restored.inc(
+                            relation._engine.cache_size()
+                        )
+                else:
+                    self._c_csv_reloads.inc()
                 entry.relation = relation
                 entry.resident_bytes = resident_bytes(relation)
                 entry.reloads += 1
-                entry.reload_source = reload_source
-                if reload_source == "snapshot":
-                    self._c_snapshot_reloads.inc()
-                else:
-                    self._c_csv_reloads.inc()
+                entry.reload_source = origin
+                entry.snapshot = self._has_snapshot(fingerprint)
                 entry.degraded = False  # a good source heals the entry
                 entry.degraded_reason = None
                 self._entries.move_to_end(fingerprint)
                 self._evict_over_budget()
-            if reload_source == "csv":
+            if origin == "csv":
                 # Heal a missing or just-quarantined snapshot from the
                 # freshly verified relation.
                 self._maybe_write_snapshot(entry, relation)
@@ -1083,26 +1052,21 @@ class DatasetRegistry:
             total -= entry.resident_bytes
             self._c_evictions.inc()
 
-    def stats(self, *, max_age_s: float = 0.0) -> dict:
+    def stats(self) -> dict:
         """JSON-ready registry summary (part of ``GET /stats``).
 
         Assembling the document walks every resident entry and its
-        engine's ``cache_info()`` under the registry lock — cheap once,
-        but a monitoring poller hammering ``/stats`` would contend with
-        the serving path.  With ``max_age_s > 0`` one assembled document
-        is reused for that long, and when the lock is held by someone
-        else (a mine touching the registry, an append re-keying an
-        entry) a stale cached document is served **without blocking**
-        rather than queueing behind the serving path.  Callers must
-        treat the returned dict as read-only.
+        engine's ``cache_info()`` under the registry lock.  When someone
+        else holds that lock (a mine touching the registry, an append
+        re-keying an entry) the previous document is served stale
+        **without blocking** rather than queueing a monitoring scrape
+        behind the serving path.  Callers must treat the returned dict
+        as read-only.
         """
-        now = time.monotonic()
         cached = self._stats_cache
-        if cached is not None and now - cached[0] < max_age_s:
-            return cached[1]
-        blocking = cached is None  # first ever call must produce something
-        if not self._lock.acquire(blocking=blocking):
-            return cached[1]  # lock contended: stale beats blocking
+        # The first ever call must produce something, so it may block.
+        if not self._lock.acquire(blocking=cached is None):
+            return cached
         try:
             resident = [e for e in self._entries.values() if e.resident]
             view = {
@@ -1116,7 +1080,7 @@ class DatasetRegistry:
                 "append_noops": self.append_noops,
                 "append_rows_added": self.append_rows_added,
                 "aliases": len(self._aliases),
-                "snapshots_enabled": self._snapshots_enabled,
+                "snapshots_enabled": self._spill_dir is not None,
                 "snapshot_writes": self.snapshot_writes,
                 "snapshot_write_failures": self.snapshot_write_failures,
                 "snapshot_reloads": self.snapshot_reloads,
@@ -1133,5 +1097,5 @@ class DatasetRegistry:
             }
         finally:
             self._lock.release()
-        self._stats_cache = (now, view)
+        self._stats_cache = view
         return view

@@ -751,22 +751,6 @@ class TestRegistrySnapshots:
         engine = EntropyEngine.for_relation(relation)
         assert engine.entropy(["A"]) == expected
 
-    def test_snapshots_disabled_falls_back_to_csv(self, tmp_path):
-        registry = DatasetRegistry(
-            memory_budget_bytes=1,
-            spill_dir=tmp_path / "spill",
-            snapshots=False,
-        )
-        first, _ = registry.register_path(make_csv(tmp_path, "a.csv"))
-        fp = first.fingerprint
-        assert first.snapshot is False
-        registry.register_path(make_csv(tmp_path, "b.csv", n_classes=3))
-        registry.relation(fp)
-        stats = registry.stats()
-        assert stats["snapshots_enabled"] is False
-        assert stats["snapshot_writes"] == 0
-        assert stats["csv_reloads"] == 1
-
     def test_register_text_spill_is_crash_safe_and_snapshotted(self, tmp_path):
         registry = DatasetRegistry(spill_dir=tmp_path / "spill")
         text = "A,B\n1,x\n2,y\n"

@@ -128,7 +128,7 @@ DELTA_ROWS = [(8, 0, 2), (8, 1, 2), (9, 0, 2), (9, 1, 2)]
 
 class TestRegistryAppend:
     def registry(self, tmp_path):
-        return DatasetRegistry(spill_dir=tmp_path / "spill", snapshots=True)
+        return DatasetRegistry(spill_dir=tmp_path / "spill")
 
     def test_append_rekeys_and_aliases(self, tmp_path):
         registry = self.registry(tmp_path)

@@ -443,18 +443,6 @@ class TestSnapshotRestart:
             view = client.get_dataset(fp)
             assert view["reload_source"] == "snapshot"
 
-    def test_snapshots_disabled_by_config(self, tmp_path):
-        spill = tmp_path / "spill"
-        path = make_csv(tmp_path)
-        with Service(
-            ServiceConfig(port=0, spill_dir=spill, snapshots=False)
-        ) as running:
-            client = ServiceClient(f"http://127.0.0.1:{running.port}")
-            client.register_dataset(path=str(path))
-            stats = client.stats()["registry"]
-            assert stats["snapshots_enabled"] is False
-            assert stats["snapshot_writes"] == 0
-
 
 class TestObservabilityHTTP:
     """Tracing headers, request ids, and the /v1/metrics exposition."""

@@ -400,7 +400,7 @@ class TestStatsWithoutLock:
         assert held.wait(5.0)
         try:
             started = time.perf_counter()
-            stale = registry.stats(max_age_s=0.0)
+            stale = registry.stats()
             elapsed = time.perf_counter() - started
         finally:
             release.set()
