@@ -30,8 +30,10 @@ What the CI ``service-smoke`` job (and ``make service-smoke``) runs:
    fault plan that kills a worker process mid-job: the in-flight mine
    must fail with ``reason: "worker_crashed"``, the supervisor must
    respawn the shard's worker, the retried mine must succeed from the
-   snapshot rehydrate, and ``/stats`` must expose per-worker shard
-   residency and dispatch counters.
+   snapshot rehydrate, the respawned worker must have written the
+   dataset's entropy-memo sidecar (``snapshot-<fp>/memo.json``) before
+   replying, and ``/stats`` must expose per-worker shard residency and
+   dispatch counters.
 
 Exit codes: 0 ok · 1 assertion failed · 2 infrastructure trouble.
 """
@@ -52,6 +54,7 @@ SRC_PATH = REPO_ROOT / "src"
 sys.path.insert(0, str(SRC_PATH))
 
 from repro.factorize.report import validate_report  # noqa: E402
+from repro.relations.persist import load_engine_memo  # noqa: E402
 from repro.service.client import ServiceClient  # noqa: E402
 
 
@@ -367,6 +370,9 @@ def cluster_phase(csv_path: Path) -> None:
             report = client.mine(fp, strategy="beam")
             validate_report(report)
             assert report["rho"] == 0.0, report
+            memo = load_engine_memo(Path(spill_dir) / f"snapshot-{fp}")
+            assert memo, "the respawned worker wrote no memo sidecar"
+            print(f"[smoke] cluster: worker wrote {len(memo)} memo entries")
 
             warm = client.run(fp, "mine", {"strategy": "beam"})
             assert warm["cached"] is True, warm

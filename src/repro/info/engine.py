@@ -20,8 +20,8 @@ layer works in masks throughout and scores a whole candidate batch with
 one gather (:meth:`EntropyEngine.mask_entropies`).  The tuple-keyed
 :meth:`~EntropyEngine.cache_snapshot` / :meth:`~EntropyEngine.merge_cache`
 pair keeps names in the schema's canonical order at the edge, for the
-persisted memo sidecar and the cluster memo deltas.  Relations are
-immutable, hence the memo is never invalidated:
+persisted memo sidecar.  Relations are immutable, hence the memo is
+never invalidated:
 derived relations (projections, selections, unions) are new objects with
 fresh engines.  Use :meth:`EntropyEngine.for_relation` to get the engine
 cached *on* the relation, which is how the discovery, core, and info
@@ -80,7 +80,6 @@ class EntropyEngine:
         "_backend",
         "_bits",
         "_cache",
-        "_keys",
         "_log_n",
         "_n",
         "_names",
@@ -100,9 +99,6 @@ class EntropyEngine:
         # H(∅) = 0 is seeded so that gathers need no branch for the empty
         # separator; it has no key, so it is not counted as a memo entry.
         self._cache: dict[int, float] = {0: 0.0}
-        # The schema-order name tuple of every memoized mask, kept so the
-        # tuple-keyed snapshot costs no conversion.
-        self._keys: dict[int, tuple[str, ...]] = {}
         self._n = len(relation)
         self._log_n = math.log(self._n) if self._n else None
 
@@ -191,7 +187,7 @@ class EntropyEngine:
 
     def cache_size(self) -> int:
         """Number of memoized entropy entries."""
-        return len(self._keys)
+        return len(self._cache) - 1
 
     def cache_info(self) -> dict:
         """JSON-ready memo summary (the service's ``/stats`` embeds it).
@@ -210,16 +206,12 @@ class EntropyEngine:
         """A shallow copy of the memo: canonical subset key → ``H`` (nats).
 
         Used to spill the memo beside a snapshot
-        (:func:`repro.relations.persist.save_engine_memo`) and by cluster
-        workers to diff out the entropies a job computed (the memo delta
-        shipped back to the front end).
+        (:func:`repro.relations.persist.save_engine_memo`).
         """
         # One C-level copy first: job threads sharing this engine may add
-        # entries meanwhile, and iterating a growing dict raises.  A mask
-        # enters `_keys` only after `_cache`, so every lookup succeeds.
-        keys = dict(self._keys)
-        cache = self._cache
-        return {key: cache[mask] for mask, key in keys.items()}
+        # entries meanwhile, and iterating a growing dict raises.
+        cache = dict(self._cache)
+        return {self.names(mask): value for mask, value in cache.items() if mask}
 
     def merge_cache(self, entries: dict[tuple[str, ...], float]) -> int:
         """Adopt precomputed entropies (canonical keys, nats).
@@ -228,10 +220,8 @@ class EntropyEngine:
         same value for the same key, so precedence is irrelevant).
         Keys naming an attribute outside the schema are skipped: no
         lookup could reach them.
-        Returns the number of newly added entries.  This is the last step
-        of the cluster memo fold: the memo deltas workers ship back are
-        merged into the snapshot's memo sidecar, and a process hydrating
-        that snapshot adopts the sidecar here.
+        Returns the number of newly added entries.  A process hydrating
+        a snapshot adopts its memo sidecar here.
         """
         added = 0
         cache = self._cache
@@ -242,7 +232,6 @@ class EntropyEngine:
                 continue
             if mask not in cache:
                 cache[mask] = value
-                self._keys[mask] = self.names(mask)
                 added += 1
         return added
 
@@ -262,7 +251,6 @@ class EntropyEngine:
         key = self.names(mask)
         value = max(self._backend.entropy_nats(self._relation, key), 0.0)
         self._cache[mask] = value
-        self._keys[mask] = key
         return value
 
     def mask_entropies(self, masks: Sequence[int]) -> np.ndarray:

@@ -655,10 +655,12 @@ def quarantine_snapshot(path: str | Path) -> Path | None:
 def save_engine_memo(snapshot_path: str | Path, engine) -> bool:
     """Spill an engine's entropy memo beside a snapshot (atomic write).
 
-    Returns ``False`` (writing nothing) when the memo is empty.  The
-    memo is advisory warm-start state: its loss is a performance event,
-    never a correctness one.
+    Returns ``False`` (writing nothing) when the memo is empty or the
+    directory holds no snapshot.  The memo is advisory warm-start state:
+    its loss is a performance event, never a correctness one.
     """
+    if not (Path(snapshot_path) / META_FILE).exists():
+        return False
     entries = engine.cache_snapshot()
     if not entries:
         return False
@@ -709,49 +711,6 @@ def load_engine_memo(snapshot_path: str | Path) -> dict[tuple[str, ...], float]:
             raise SnapshotError(f"memo {memo_path} has a malformed entry")
         out[tuple(item[0])] = float(item[1])
     return out
-
-
-def merge_engine_memo(
-    snapshot_path: str | Path, entries: dict[tuple[str, ...], float]
-) -> int:
-    """Fold ``entries`` into a snapshot's memo sidecar; return new keys.
-
-    This is the front end's half of the cluster memo hand-off: workers
-    return the entropy values they computed as a delta, and the
-    dispatcher merges each delta into the shared sidecar so the *next*
-    process to hydrate the dataset (a respawned worker, a restarted
-    server) starts warm.  Existing keys win — entropy values for a
-    fixed fingerprint are deterministic, so a conflict can only be a
-    duplicate.  A corrupt sidecar is overwritten with the delta alone.
-    """
-    if not entries:
-        return 0
-    snapshot_path = Path(snapshot_path)
-    if not (snapshot_path / META_FILE).exists():
-        return 0
-    try:
-        merged = load_engine_memo(snapshot_path)
-    except SnapshotError:
-        merged = {}
-    added = 0
-    for key, value in entries.items():
-        if key not in merged:
-            merged[tuple(key)] = float(value)
-            added += 1
-    if not added:
-        return 0
-    document = {
-        "format": MEMO_FORMAT_NAME,
-        "version": MEMO_FORMAT_VERSION,
-        "entries": [
-            [list(key), float(value)] for key, value in merged.items()
-        ],
-    }
-    atomic_write_text(
-        snapshot_path / MEMO_FILE,
-        json.dumps(document, sort_keys=True) + "\n",
-    )
-    return added
 
 
 # ----------------------------------------------------------------------

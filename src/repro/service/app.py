@@ -73,8 +73,6 @@ class Service:
                 worker_procs=self.config.worker_procs,
                 registry=self.registry,
                 faults=self.faults,
-                max_inflight=self.config.worker_inflight,
-                max_resident=self.config.worker_max_resident,
                 telemetry=self.telemetry,
             )
         try:
@@ -87,7 +85,6 @@ class Service:
                 faults=self.faults,
                 breaker_failures=self.config.breaker_failures,
                 breaker_cooldown_s=self.config.breaker_cooldown_s,
-                max_batch_ops=self.config.max_batch_ops,
                 executor=self.cluster,
                 telemetry=self.telemetry,
             )

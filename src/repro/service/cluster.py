@@ -23,12 +23,11 @@ Data movement
     rebuilds the dataset locally through
     :func:`repro.relations.persist.hydrate_relation` — the PR 7
     zero-parse snapshot path, memo sidecar included.  Workers return
-    the report plus an **entropy-memo delta**: the H() values this job
-    added to the worker's resident engine.  The front end folds each
-    delta into the shared on-disk memo sidecar
-    (:func:`repro.relations.persist.merge_engine_memo`), so a dataset
-    rehomed after a worker death — or a whole restarted server —
-    hydrates warm.
+    only the report.  A job that grew the worker's entropy memo has the
+    worker rewrite the dataset's memo sidecar
+    (:func:`repro.relations.persist.save_engine_memo`) before it
+    replies, so a dataset rehomed after a worker death — or a whole
+    restarted server — hydrates warm.
 
 Supervision
     The PR 6 worker-thread supervision pattern, promoted to process
@@ -38,7 +37,7 @@ Supervision
     jobs with ``reason: "worker_crashed"``, and respawns a replacement
     into the **same shard slot** — the shard map never changes, so only
     the dead worker's datasets are touched, and they come back from
-    their snapshots + folded memos.  The ``cluster.worker_exit`` fault
+    their snapshots and memo sidecars.  The ``cluster.worker_exit`` fault
     site kills a worker process mid-job on demand;
     ``cluster.dispatch`` injects front-end send failures.
 
@@ -99,9 +98,13 @@ WORKER_SITES = ("jobs.oom",)
 #: declares a worker unresponsive for that request.
 DISPATCH_GRACE_S = 30.0
 
-#: Cap on memo-delta entries shipped per response (a single mine memoizes
-#: at most a few thousand subsets; the cap bounds a pathological frame).
-MEMO_DELTA_CAP = 8192
+#: Per-worker in-flight dispatch limit: a job bound for a worker already
+#: running this many requests blocks its submitting queue thread.
+WORKER_INFLIGHT = 8
+
+#: Hydrated datasets one worker keeps resident (LRU); the oldest beyond
+#: it is dropped and re-hydrates from its snapshot on next use.
+WORKER_MAX_RESIDENT = 16
 
 #: Pseudo-operation dispatched for delta ingest.  Not a member of
 #: :data:`repro.service.operations.OPERATIONS`: it mutates the dataset
@@ -196,8 +199,7 @@ class ClusterSupervisor:
     executor: :meth:`execute` has the signature of
     :meth:`~repro.service.operations.InProcessExecutor.execute`, but
     routes the operation to its shard's worker over the
-    :mod:`repro.service.dispatch` protocol and folds the returned memo
-    delta into the shared sidecar tier.
+    :mod:`repro.service.dispatch` protocol.
     """
 
     def __init__(
@@ -206,8 +208,6 @@ class ClusterSupervisor:
         worker_procs: int,
         registry,
         faults: FaultPlan | None = None,
-        max_inflight: int = 8,
-        max_resident: int = 16,
         heartbeat_interval_s: float = 1.0,
         heartbeat_timeout_s: float = 15.0,
         spawn_timeout_s: float = 60.0,
@@ -217,15 +217,9 @@ class ClusterSupervisor:
             raise ServiceError(
                 f"worker_procs must be >= 1 for a cluster, got {worker_procs}"
             )
-        if max_inflight < 1:
-            raise ServiceError(
-                f"max_inflight must be >= 1, got {max_inflight}"
-            )
         self._registry = registry
         self._faults = faults if faults is not None else DISABLED
         self._shards = ShardMap(worker_procs)
-        self._max_inflight = max_inflight
-        self._max_resident = max_resident
         self._heartbeat_interval_s = heartbeat_interval_s
         self._heartbeat_timeout_s = heartbeat_timeout_s
         self._spawn_timeout_s = spawn_timeout_s
@@ -257,14 +251,6 @@ class ClusterSupervisor:
         self._c_worker_respawns = metrics.counter(
             "cluster_worker_respawns_total",
             "Replacement worker processes spawned into a shard slot",
-        )
-        self._c_memo_deltas = metrics.counter(
-            "cluster_memo_deltas_folded_total",
-            "Entropy-memo deltas folded into snapshot sidecars",
-        )
-        self._c_memo_entries = metrics.counter(
-            "cluster_memo_entries_folded_total",
-            "Entropy-memo entries added by folded deltas",
         )
         self._c_hydrations = metrics.counter(
             "cluster_hydrations_total",
@@ -316,14 +302,6 @@ class ClusterSupervisor:
         return int(self._c_worker_respawns.value())
 
     @property
-    def memo_deltas_folded(self) -> int:
-        return int(self._c_memo_deltas.value())
-
-    @property
-    def memo_entries_folded(self) -> int:
-        return int(self._c_memo_entries.value())
-
-    @property
     def hydrations(self) -> dict:
         return {
             series["labels"][0]: int(series["value"])
@@ -365,7 +343,6 @@ class ClusterSupervisor:
                 "repro.service.cluster",
                 "--connect", f"127.0.0.1:{self._port}",
                 "--worker-id", str(worker_id),
-                "--max-resident", str(self._max_resident),
             ],
             env=self._child_env(),
             stdin=subprocess.DEVNULL,
@@ -412,7 +389,7 @@ class ClusterSupervisor:
                 worker_id,
                 conn,
                 process,
-                max_inflight=self._max_inflight,
+                max_inflight=WORKER_INFLIGHT,
                 request_ids=self._ids,
             )
             with self._cond:
@@ -535,8 +512,8 @@ class ClusterSupervisor:
         *,
         timeout: float | None,
         timings: StageTimings | None = None,
-    ) -> tuple[dict, dict]:
-        """Send one request to the shard owner; return ``(spec, response)``.
+    ) -> dict:
+        """Send one request to the shard owner; return its response.
 
         The one dispatch path of :meth:`execute` and :meth:`append`:
         closed check, the ``cluster.dispatch`` (and, for operations,
@@ -592,7 +569,7 @@ class ClusterSupervisor:
                     f"({type(report).__name__})"
                 )
             self._registry.note_remote_outcome(fingerprint, ok=True)
-            return spec, response
+            return response
         message = str(response.get("error") or "worker reported failure")
         kind = response.get("error_kind")
         if kind == "degraded":
@@ -617,9 +594,7 @@ class ClusterSupervisor:
         """Run one operation on the shard's owning worker; return the report.
 
         Raises the same typed errors the in-process path does (see
-        :meth:`_dispatch`) and folds the worker's hydration origin and
-        entropy-memo delta into the cluster counters and the shared
-        sidecar tier.
+        :meth:`_dispatch`) and counts the worker's hydration origin.
         """
         timeout = None
         fields = {"params": params, "deadline_in_s": None}
@@ -630,13 +605,12 @@ class ClusterSupervisor:
         if trace is not None:
             # Rides the req frame; old workers ignore unknown fields.
             fields["trace"] = trace
-        spec, response = self._dispatch(
+        response = self._dispatch(
             fingerprint, operation, fields, timeout=timeout, timings=timings
         )
         origin = response.get("origin")
         if origin in ("snapshot", "csv", "resident"):
             self._c_hydrations.labels(origin).inc()
-        self._fold_memo_delta(spec, response.get("memo_delta"))
         return response["report"]
 
     def append(
@@ -664,7 +638,7 @@ class ClusterSupervisor:
         spill_dir = self._registry.spill_dir
         if spill_dir is None:
             raise ServiceError("cluster append requires a spill directory")
-        _, response = self._dispatch(
+        response = self._dispatch(
             fingerprint,
             APPEND_OP,
             {
@@ -685,8 +659,8 @@ class ClusterSupervisor:
         """Fold the telemetry riding a ``res`` frame (all best effort).
 
         Three payloads, each optional: the worker's metric snapshot
-        (merged like an entropy-memo delta: latest per live slot, dead
-        slots folded into a committed base), the worker-side stage
+        (latest per live slot, dead slots folded into a committed
+        base), the worker-side stage
         timeline (merged into the job's timings under ``worker_``), and
         the worker's structured log record (forwarded to the front
         end's sink, so one log stream carries both halves of a trace).
@@ -704,30 +678,6 @@ class ClusterSupervisor:
         record = payload.get("log")
         if tele is not None and tele.enabled and isinstance(record, dict):
             tele.log.emit(record)
-
-    def _fold_memo_delta(self, spec: dict, delta) -> None:
-        """Merge a worker's entropy-memo delta into the shared sidecar."""
-        if not delta or not isinstance(delta, list) or not spec.get("snapshot_dir"):
-            return
-        entries: dict[tuple, float] = {}
-        for item in delta[:MEMO_DELTA_CAP]:
-            if (
-                not isinstance(item, list)
-                or len(item) != 2
-                or not isinstance(item[0], list)
-                or not all(isinstance(name, str) for name in item[0])
-                or isinstance(item[1], bool)
-                or not isinstance(item[1], (int, float))
-            ):
-                return  # a malformed delta is dropped whole, never folded
-            entries[tuple(item[0])] = float(item[1])
-        try:
-            added = merge_engine_memo_lazy(spec["snapshot_dir"], entries)
-        except (SnapshotError, OSError):
-            return  # advisory state: folding is best effort
-        self._c_memo_deltas.inc()
-        if added:
-            self._c_memo_entries.inc(added)
 
     # ------------------------------------------------------------------
     # Introspection + lifecycle
@@ -761,10 +711,8 @@ class ClusterSupervisor:
                 "dispatch_failures": self.dispatch_failures,
                 "worker_crashes": self.worker_crashes,
                 "worker_respawns": self.worker_respawns,
-                "memo_deltas_folded": self.memo_deltas_folded,
-                "memo_entries_folded": self.memo_entries_folded,
                 "hydrations": dict(self.hydrations),
-                "max_inflight": self._max_inflight,
+                "max_inflight": WORKER_INFLIGHT,
                 "shards": shards,
                 "workers": workers,
             }
@@ -807,23 +755,13 @@ class ClusterSupervisor:
             handle.mark_dead("cluster shut down")
 
 
-def merge_engine_memo_lazy(snapshot_dir: str, entries: dict) -> int:
-    """Thin import indirection (keeps persist out of worker spawn cost)."""
-    from repro.relations.persist import merge_engine_memo
-
-    return merge_engine_memo(snapshot_dir, entries)
-
-
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
 class _WorkerRuntime:
-    """One worker's local state: hydrated relations + memo-delta capture."""
+    """One worker's local state: hydrated relations and their memo spills."""
 
-    def __init__(
-        self, *, max_resident: int, faults: FaultPlan, worker_id: int = 0
-    ) -> None:
-        self._max_resident = max(1, int(max_resident))
+    def __init__(self, *, faults: FaultPlan, worker_id: int = 0) -> None:
         self._faults = faults
         self._relations: OrderedDict[str, object] = OrderedDict()
         self.jobs_done = 0
@@ -842,6 +780,9 @@ class _WorkerRuntime:
         )
         self._h_job = self.metrics.histogram(
             "job_seconds", "Per-job wall time inside the worker"
+        )
+        self._c_memo_spills = self.metrics.counter(
+            "memo_spills_total", "Entropy-memo sidecars written by this worker"
         )
 
     def metrics_snapshot(self) -> dict:
@@ -877,8 +818,9 @@ class _WorkerRuntime:
         """Hold ``relation`` resident, dropping the least recently used."""
         self._relations[fingerprint] = relation
         self._relations.move_to_end(fingerprint)
-        while len(self._relations) > self._max_resident:
-            self._relations.popitem(last=False)
+        while len(self._relations) > WORKER_MAX_RESIDENT:
+            _, dropped = self._relations.popitem(last=False)
+            dropped.release_engines()
 
     def _relation_for(self, message: dict):
         """Local cache, else :func:`~repro.relations.persist.hydrate_relation`;
@@ -925,6 +867,7 @@ class _WorkerRuntime:
         """Run one dispatched operation; always returns a ``res`` frame."""
         from repro.factorize.report import validate_report
         from repro.info.engine import EntropyEngine
+        from repro.relations.persist import save_engine_memo
         from repro.service.operations import run_operation
 
         base = {"t": "res", "id": message.get("id")}
@@ -952,7 +895,7 @@ class _WorkerRuntime:
                 "resident": self.resident(),
             }
         engine = EntropyEngine.for_relation(relation)
-        baseline = set(engine.cache_snapshot())
+        memo_size = engine.cache_size()
         deadline_in_s = message.get("deadline_in_s")
         deadline_at = (
             time.monotonic() + float(deadline_in_s)
@@ -971,11 +914,13 @@ class _WorkerRuntime:
             validate_report(report)
         except Exception as exc:  # a WorkerCrashInjection passes through
             return self._error_frame(base, exc, ())
-        delta = [
-            [list(key), float(value)]
-            for key, value in engine.cache_snapshot().items()
-            if key not in baseline
-        ][:MEMO_DELTA_CAP]
+        snapshot_dir = message.get("snapshot_dir")
+        if snapshot_dir and engine.cache_size() > memo_size:
+            try:
+                if save_engine_memo(snapshot_dir, engine):
+                    self._c_memo_spills.inc()
+            except OSError:
+                pass  # advisory warm-start state: the spill is best effort
         self.jobs_done += 1
         elapsed = time.perf_counter() - started
         self._c_jobs.inc()
@@ -987,7 +932,6 @@ class _WorkerRuntime:
             "ok": True,
             "report": report,
             "origin": origin,
-            "memo_delta": delta,
             "resident": self.resident(),
             "telemetry": self._job_telemetry(message, timings, origin, elapsed),
         }
@@ -1023,6 +967,7 @@ class _WorkerRuntime:
                 chain=info["chain"],
             )
             self._relations.pop(message["fingerprint"], None)
+            relation.release_engines()
             self._keep(info["fingerprint"], appended)
         return info
 
@@ -1069,7 +1014,6 @@ def worker_main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="repro-cluster-worker")
     parser.add_argument("--connect", required=True, metavar="HOST:PORT")
     parser.add_argument("--worker-id", required=True, type=int)
-    parser.add_argument("--max-resident", type=int, default=16)
     args = parser.parse_args(argv)
     host, _, port = args.connect.rpartition(":")
     token = os.environ.get(TOKEN_ENV, "")
@@ -1084,9 +1028,7 @@ def worker_main(argv: list[str] | None = None) -> int:
         return 1
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     send_lock = threading.Lock()
-    runtime = _WorkerRuntime(
-        max_resident=args.max_resident, faults=plan, worker_id=args.worker_id
-    )
+    runtime = _WorkerRuntime(faults=plan, worker_id=args.worker_id)
     with send_lock:
         send_frame(
             sock,

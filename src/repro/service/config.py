@@ -62,9 +62,6 @@ class ServiceConfig:
         How long after an incident (worker crash, spill quarantine,
         dataset degradation) ``/healthz`` keeps reporting ``degraded``
         even once the underlying state has healed.
-    max_batch_ops:
-        Upper bound on the number of operations one ``POST /jobs/batch``
-        submission may carry.
     worker_procs:
         Multi-process scale-out: ``0`` (the default) computes in-process
         — bit-identical to the pre-cluster service — while ``N >= 1``
@@ -72,14 +69,6 @@ class ServiceConfig:
         shard of the datasets, with jobs dispatched over the
         :mod:`repro.service.dispatch` socket protocol.  See
         :mod:`repro.service.cluster`.
-    worker_inflight:
-        Per-worker-process in-flight dispatch limit: a job bound for a
-        worker already running this many requests blocks its submitting
-        queue thread until the worker drains.
-    worker_max_resident:
-        How many hydrated datasets one worker process keeps resident
-        (LRU); beyond it the oldest is dropped and re-hydrates from its
-        snapshot on next use.
     revalidate_tolerance:
         Delta-ingest cache revalidation: after an append, each cached
         mined jointree is re-scored (fixed tree, no search) on the
@@ -115,10 +104,7 @@ class ServiceConfig:
     breaker_failures: int = 5
     breaker_cooldown_s: float = 5.0
     health_incident_ttl_s: float = 60.0
-    max_batch_ops: int = 64
     worker_procs: int = 0
-    worker_inflight: int = 8
-    worker_max_resident: int = 16
     revalidate_tolerance: float = 0.05
     telemetry: bool = True
     request_log_path: str | Path | None = None
@@ -161,22 +147,9 @@ class ServiceConfig:
                 "health_incident_ttl_s must be >= 0, got "
                 f"{self.health_incident_ttl_s}"
             )
-        if self.max_batch_ops < 1:
-            raise ServiceError(
-                f"max_batch_ops must be >= 1, got {self.max_batch_ops}"
-            )
         if self.worker_procs < 0:
             raise ServiceError(
                 f"worker_procs must be >= 0, got {self.worker_procs}"
-            )
-        if self.worker_inflight < 1:
-            raise ServiceError(
-                f"worker_inflight must be >= 1, got {self.worker_inflight}"
-            )
-        if self.worker_max_resident < 1:
-            raise ServiceError(
-                "worker_max_resident must be >= 1, got "
-                f"{self.worker_max_resident}"
             )
         if (
             isinstance(self.revalidate_tolerance, bool)

@@ -23,9 +23,9 @@ transport between them:
                          / ``chunk_rows``, and the optional ``trace`` id
                          the worker threads into its spans and log line
   ``res``     w → f      the answer to ``req`` with the same ``id``:
-                         ``ok`` + ``report`` + ``origin`` + ``memo_delta``
-                         + ``resident`` + ``telemetry`` (trace, stage
-                         timeline, forwardable log record) + ``metrics``
+                         ``ok`` + ``report`` + ``origin`` + ``resident``
+                         + ``telemetry`` (trace, stage timeline,
+                         forwardable log record) + ``metrics``
                          (the worker's registry snapshot), or ``ok:
                          false`` + ``error`` + ``error_kind``
                          (``degraded`` / ``repro`` / ``internal``)

@@ -525,11 +525,10 @@ class DatasetRegistry:
         relation = entry.relation
         if relation is None or relation._engine is None:
             return
-        snapshot_dir = self._snapshot_path(entry.fingerprint)
-        if not (snapshot_dir / META_FILE).exists():
-            return
         try:
-            if save_engine_memo(snapshot_dir, relation._engine):
+            if save_engine_memo(
+                self._snapshot_path(entry.fingerprint), relation._engine
+            ):
                 self._c_memo_spills.inc()
         except OSError:
             pass

@@ -17,8 +17,7 @@ The registry renders to Prometheus text exposition
 (:meth:`MetricsRegistry.render`, served as ``GET /v1/metrics``) and to
 a JSON snapshot (:meth:`MetricsRegistry.snapshot`) that worker
 subprocesses ship to the front end over the dispatch protocol, where
-:class:`RemoteMetrics` folds them — monotonic across worker respawns,
-exactly like entropy-memo deltas.
+:class:`RemoteMetrics` folds them — monotonic across worker respawns.
 
 Request/job **timelines** are :class:`StageTimings`: named spans
 (``with timings.span("run"): ...``) accumulated in order, rendered as

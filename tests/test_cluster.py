@@ -295,19 +295,74 @@ class TestClusterService:
             stats = client.stats()["cluster"]
         assert stats["dispatch_failures"] == 1
 
-    def test_memo_delta_folds_into_shared_sidecar(self, tmp_path):
-        """A worker's new H() values reach the front end's memo tier."""
+    def test_worker_writes_memo_sidecar_before_replying(self, tmp_path):
+        """The worker that computed a job's H() values writes them beside
+        the snapshot before its reply, equal to a fresh engine's."""
+        from test_telemetry import parse_prometheus
+
+        from repro.info.engine import EntropyEngine
+        from repro.relations.io import read_csv
+        from repro.relations.persist import load_engine_memo
+
         csv = make_csv(tmp_path, n_classes=3)
-        config = ServiceConfig(
-            port=0, spill_dir=tmp_path / "spill", worker_procs=1
-        )
+        spill = tmp_path / "spill"
+        config = ServiceConfig(port=0, spill_dir=spill, worker_procs=1)
         with Service(config) as service:
             client = ServiceClient(f"http://127.0.0.1:{service.port}")
             fp = client.register_dataset(path=str(csv))["fingerprint"]
             client.mine(fp, strategy="beam")
-            stats = client.stats()["cluster"]
-        assert stats["memo_deltas_folded"] >= 1
-        assert stats["memo_entries_folded"] >= 1
+            memo = load_engine_memo(spill / f"snapshot-{fp}")
+            families = parse_prometheus(client.metrics_text())
+        assert memo
+        engine = EntropyEngine(read_csv(csv))
+        for key, value in memo.items():
+            assert value == engine.entropy(key)
+        samples = families["worker_memo_spills_total"]["samples"]
+        assert sum(v for _, _, v in samples) >= 1
+
+
+class TestWorkerRuntime:
+    def test_lru_drop_releases_engines(self, tmp_path, monkeypatch):
+        from repro.info.engine import EntropyEngine
+        from repro.relations.io import read_csv
+        from repro.service import cluster
+        from repro.service.faults import DISABLED
+
+        monkeypatch.setattr(cluster, "WORKER_MAX_RESIDENT", 2)
+        runtime = cluster._WorkerRuntime(faults=DISABLED)
+        relations = [
+            read_csv(make_csv(tmp_path, f"t{i}.csv", n_classes=i + 1))
+            for i in range(3)
+        ]
+        for i, relation in enumerate(relations):
+            EntropyEngine.for_relation(relation).entropy(["A"])
+            runtime._keep(f"fp{i}", relation)
+        assert runtime.resident() == ["fp1", "fp2"]
+        assert relations[0]._engine is None
+        assert relations[1]._engine is not None
+        assert relations[2]._engine is not None
+
+    def test_append_releases_superseded_version_engines(self, tmp_path):
+        from repro.info.engine import EntropyEngine
+        from repro.relations.io import read_csv
+        from repro.service import cluster
+        from repro.service.faults import DISABLED
+
+        runtime = cluster._WorkerRuntime(faults=DISABLED)
+        relation = read_csv(make_csv(tmp_path))
+        fp = relation.fingerprint()
+        EntropyEngine.for_relation(relation).entropy(["A"])
+        runtime._keep(fp, relation)
+        message = {
+            "fingerprint": fp,
+            "append_rows": [[9, 9, 9]],
+            "chain": {"base": fp, "chunks": [], "version": 1},
+            "spill_dir": str(tmp_path),
+        }
+        info = runtime._append(message, relation)
+        assert info["changed"]
+        assert runtime.resident() == [info["fingerprint"]]
+        assert relation._engine is None
 
 
 # ----------------------------------------------------------------------

@@ -453,23 +453,6 @@ class TestHydrateAndMemoMerge:
         with pytest.raises(SnapshotError):
             hydrate_relation(expected_fingerprint="d" * 32)
 
-    def test_merge_engine_memo_existing_keys_win(self, tmp_path):
-        from repro.relations.persist import merge_engine_memo
-
-        original = make_relation([(i % 3, i % 2) for i in range(12)])
-        path = save_snapshot(original, tmp_path / "snap")
-        assert merge_engine_memo(path, {("A",): 1.5}) == 1
-        added = merge_engine_memo(path, {("A",): 9.9, ("B",): 1.0})
-        assert added == 1
-        memo = load_engine_memo(path)
-        assert memo[("A",)] == 1.5  # existing value kept
-        assert memo[("B",)] == 1.0
-
-    def test_merge_engine_memo_noop_without_snapshot(self, tmp_path):
-        from repro.relations.persist import merge_engine_memo
-
-        assert merge_engine_memo(tmp_path / "missing", {("A",): 1.0}) == 0
-
 
 class TestEngineMemoSidecar:
     def test_round_trip(self, tmp_path):
@@ -487,6 +470,10 @@ class TestEngineMemoSidecar:
         restored = load_engine_memo(snap)
         for key, value in expected.items():
             assert restored[key] == value
+        # No snapshot in the directory: nothing is written.
+        missing = tmp_path / "missing"
+        assert save_engine_memo(missing, engine) is False
+        assert not missing.exists()
 
     def test_absent_memo_is_empty(self, tmp_path):
         original = make_relation([(1, "a")])
