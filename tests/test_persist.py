@@ -453,6 +453,15 @@ class TestHydrateAndMemoMerge:
         with pytest.raises(SnapshotError):
             hydrate_relation(expected_fingerprint="d" * 32)
 
+    def test_merge_engine_memo_noop_without_snapshot(self, tmp_path):
+        """A worker's memo write is a no-op where no snapshot was written."""
+        relation = make_relation([(1, "a"), (2, "b")], names=["A", "B"])
+        engine = EntropyEngine.for_relation(relation)
+        engine.entropy(["A"])
+        missing = tmp_path / "missing"
+        assert save_engine_memo(missing, engine) is False
+        assert not missing.exists()
+
 
 class TestEngineMemoSidecar:
     def test_round_trip(self, tmp_path):
@@ -470,10 +479,6 @@ class TestEngineMemoSidecar:
         restored = load_engine_memo(snap)
         for key, value in expected.items():
             assert restored[key] == value
-        # No snapshot in the directory: nothing is written.
-        missing = tmp_path / "missing"
-        assert save_engine_memo(missing, engine) is False
-        assert not missing.exists()
 
     def test_absent_memo_is_empty(self, tmp_path):
         original = make_relation([(1, "a")])
