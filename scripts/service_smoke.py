@@ -8,7 +8,9 @@ What the CI ``service-smoke`` job (and ``make service-smoke``) runs:
    line for the port;
 2. register ``examples/planted_mvd.csv`` over HTTP;
 3. run mine → decompose → analyze via the Python client and validate
-   every report against the shared CLI report schema;
+   every report against the shared CLI report schema; the uncached mine
+   must cost the server at most one ``GET /v1/jobs/{id}`` (the client's
+   long poll), read from ``/v1/metrics``;
 4. repeat the identical mine request and assert it is served **from the
    cache** (``cached: true``, bit-identical report, hit-rate > 0);
 5. check ``/healthz`` and ``/stats`` shapes;
@@ -136,6 +138,14 @@ def main() -> int:
                 f"[smoke] cold mine ok ({cold['service_time_s'] * 1e3:.1f} ms, "
                 f"bags {cold['result']['bags']})"
             )
+            # The client waited on the job with one long poll at most
+            # (none when the submit answered done).  A reply larger
+            # than the server's write buffer can leave before its
+            # request is observed, hence the short settle.
+            time.sleep(0.2)
+            polls = route_requests(client, "GET", "jobs/{job_id}")
+            assert polls <= 1, f"{polls} GET jobs/{{job_id}} for one cold mine"
+            print(f"[smoke] cold mine waited with {polls:.0f} long poll(s)")
 
             decompose = client.decompose(fp, strategy="beam")
             validate_report(decompose)
@@ -228,6 +238,16 @@ def main() -> int:
     cluster_phase(csv_path)
     print("[smoke] service smoke ok")
     return 0
+
+
+def route_requests(client: ServiceClient, method: str, route: str) -> float:
+    """Requests the server has observed on one route, from ``/v1/metrics``."""
+    labels = f'method="{method}",route="{route}",'
+    total = 0.0
+    for line in client.metrics_text().splitlines():
+        if line.startswith("http_request_seconds_count{") and labels in line:
+            total += float(line.rsplit(" ", 1)[1])
+    return total
 
 
 def check_metrics_exposition(client: ServiceClient) -> None:

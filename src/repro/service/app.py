@@ -26,6 +26,11 @@ from repro.service.jobs import JobQueue
 from repro.service.registry import DatasetRegistry
 from repro.service.telemetry import Telemetry
 
+#: How often the background accept loop checks for ``stop()``, in
+#: seconds.  ``stop()`` waits for that check before it wakes the long
+#: polls, so it bounds how long a stopping server keeps them waiting.
+ACCEPT_POLL_S = 0.05
+
 
 class Service:
     """A running (or startable) decomposition service."""
@@ -122,6 +127,7 @@ class Service:
             self._draining = False
             self._thread = threading.Thread(
                 target=server.serve_forever,
+                args=(ACCEPT_POLL_S,),
                 name="repro-service-http",
                 daemon=True,
             )
@@ -140,7 +146,11 @@ class Service:
             self.stop()
 
     def stop(self) -> None:
-        """Shut the HTTP server down and drain the worker pool."""
+        """Shut the HTTP server down and drain the worker pool.
+
+        Draining answers every job long poll at once with the job's
+        current view, running jobs included.
+        """
         self._draining = True  # /healthz flips before the socket closes
         if self._server is not None:
             self._server.shutdown()

@@ -164,6 +164,20 @@ class ResultCache:
             self._c_misses.inc()
         return None
 
+    def peek(self, key: str) -> dict | None:
+        """A deep copy of ``key``'s report from the memory tier, or ``None``.
+
+        Counts neither a hit nor a miss and reads no spill file: the job
+        queue's second look, under its own lock, for a result a worker
+        put after the submission's counted :meth:`get` missed.
+        """
+        with self._lock:
+            cached = self._entries.get(key)
+            if cached is None:
+                return None
+            self._entries.move_to_end(key)
+            return json.loads(json.dumps(cached))
+
     def _load_spilled(self, key: str) -> tuple[dict, dict] | None:
         path = self._spill_path(key)
         if path is None or not path.exists():

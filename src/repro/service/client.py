@@ -11,7 +11,8 @@ code) never hand-roll requests::
 
 Convenience methods (``mine`` / ``analyze`` / ``decompose``) submit a
 job and block until it finishes, returning the report and raising
-:class:`ServiceClientError` on ``failed`` / ``timeout`` jobs.  The
+:class:`ServiceClientError` on ``failed`` / ``timeout`` jobs; an
+uncached job costs two requests, the submit and one long poll.  The
 lower-level ``submit_job`` / ``get_job`` / ``wait_job`` expose the
 asynchronous lifecycle directly.
 
@@ -49,6 +50,7 @@ import urllib.request
 import uuid
 
 from repro.errors import ServiceError
+from repro.service.http import MAX_JOB_WAIT_S
 
 #: Transport-level failures worth retrying: the request may never have
 #: reached the server, or the response died on the wire.  (HTTPError
@@ -390,32 +392,36 @@ class ServiceClient:
         job_id: str,
         *,
         timeout: float = 60.0,
-        poll_s: float = 0.02,
-        poll_cap_s: float = 0.5,
+        poll_s: float = 0.02,  # noqa: ARG002 - kept for old callers
+        poll_cap_s: float = 0.5,  # noqa: ARG002
     ) -> dict:
-        """Poll until the job leaves queued/running; return its view.
+        """Long-poll until the job leaves queued/running; return its view.
 
-        The poll interval starts at ``poll_s`` and grows geometrically
-        (with jitter, capped at ``poll_cap_s``), so short jobs return
-        promptly while long jobs do not hammer the server — and a herd
-        of waiting clients does not poll in lockstep.
+        Each request is ``GET /v1/jobs/{id}?wait_s=X``, which the server
+        answers as soon as the job finishes, or after ``X`` seconds.
+        ``X`` is bounded by the server's cap
+        (:data:`~repro.service.http.MAX_JOB_WAIT_S`), the time left of
+        ``timeout`` and half the socket timeout, so a reply is due well
+        before the socket gives up.  Polls go back to back with no
+        sleep between them: a job that finishes within one poll costs
+        one request.  ``poll_s`` and ``poll_cap_s`` are ignored; they
+        remain so callers written against the earlier sleeping poll
+        loop keep working.
         """
         deadline = time.monotonic() + timeout
-        interval = poll_s
         while True:
-            view = self.get_job(job_id)
+            wait_s = min(
+                MAX_JOB_WAIT_S, deadline - time.monotonic(), self.timeout / 2
+            )
+            view = self._request(
+                "GET", f"/v1/jobs/{job_id}?wait_s={max(wait_s, 0.0):.3f}"
+            )
             if view["state"] not in ("queued", "running"):
                 return view
-            now = time.monotonic()
-            if now >= deadline:
+            if time.monotonic() >= deadline:
                 raise ServiceError(
                     f"job {job_id} still {view['state']} after {timeout:g}s"
                 )
-            sleep_s = min(
-                self._rng.uniform(interval * 0.5, interval), deadline - now
-            )
-            time.sleep(max(sleep_s, 0.0))
-            interval = min(interval * 1.6, poll_cap_s)
 
     def run_batch(
         self,

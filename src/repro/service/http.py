@@ -42,7 +42,13 @@ Routes (all request/response bodies are JSON):
                                     ...]}``.  200 when every item was
                                     answered from the cache, 202 otherwise.
 ``GET /v1/jobs/{id}``               the job's state (+ ``result`` once
-                                    done), or 404.
+                                    done), or 404.  ``?wait_s=X`` makes it
+                                    a long poll: the reply waits until the
+                                    job finishes or ``min(X,``
+                                    :data:`MAX_JOB_WAIT_S` ``)`` seconds
+                                    pass (a shutdown answers at once).  A
+                                    malformed, negative or non-finite
+                                    ``wait_s`` is a 400.
 ``GET /v1/healthz``                 liveness: ``{"status": "ok", ...}``.
 ``GET /v1/metrics``                 Prometheus text exposition (0.0.4) of
                                     every registered instrument, worker
@@ -81,7 +87,10 @@ log line — and the worker-process line, under cluster dispatch — share
 it.  ``GET /v1/jobs/{id}`` adds a ``Server-Timing`` header with the
 job's stage timeline once it has run.  Each request is observed into
 the ``http_request_seconds`` histogram (labelled by method, route
-*pattern*, status) and emitted as one structured log line.
+*pattern*, status; a long poll's sample includes its wait) and emitted
+as one structured log line, which for a long poll carries ``waited_s``.
+Every long poll also counts in ``http_job_waits_total{outcome}``
+(``finished`` | ``expired`` | ``shutdown``).
 
 Chaos hooks: when a :class:`~repro.service.faults.FaultPlan` is armed,
 ``_send_json`` threads the ``http.drop`` (connection closed with no
@@ -97,6 +106,7 @@ import json
 import math
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import parse_qs
 
 from repro.errors import (
     CircuitOpenError,
@@ -114,6 +124,10 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 
 #: The current (only) API version segment.
 API_VERSION = "v1"
+
+#: Longest a ``GET /v1/jobs/{id}?wait_s=`` long poll holds its handler
+#: thread, in seconds; a larger ``wait_s`` is clamped to it.
+MAX_JOB_WAIT_S = 10.0
 
 #: Machine-readable error code → HTTP status.  Stable: clients switch on
 #: these, tests pin them, and docs/service.md documents each one.
@@ -238,6 +252,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-ajd-service/1.0"
     protocol_version = "HTTP/1.1"
+    # Buffer the response: the status line, headers and body leave in
+    # one send when ``handle_one_request`` flushes, not as a headers
+    # send plus a body send that the reader wakes up between.
+    wbufsize = -1
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -359,6 +377,26 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         path = self.path.split("?", 1)[0]
         return tuple(part for part in path.split("/") if part)
 
+    def _wait_s(self) -> float | None:
+        """The query's ``wait_s`` (seconds, finite, >= 0), or ``None``."""
+        query = parse_qs(self.path.partition("?")[2], keep_blank_values=True)
+        values = query.get("wait_s")
+        if values is None:
+            return None
+        try:
+            if len(values) != 1:
+                raise ValueError
+            wait_s = float(values[0])
+        except ValueError:
+            raise ServiceError(
+                f"wait_s must be one number of seconds, got {values!r}"
+            ) from None
+        if not (math.isfinite(wait_s) and wait_s >= 0):
+            raise ServiceError(
+                f"wait_s must be finite and non-negative, got {values[0]!r}"
+            )
+        return wait_s
+
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
@@ -470,7 +508,17 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self._send_json(200, self.service.registry.get(fingerprint).describe())
 
     def _handle_get_job(self, job_id: str) -> None:
+        wait_s = self._wait_s()
         job = self.service.jobs.get(job_id)
+        if wait_s is not None:
+            started = time.perf_counter()
+            outcome = self.service.jobs.wait(job, min(wait_s, MAX_JOB_WAIT_S))
+            self._log_fields["waited_s"] = round(
+                time.perf_counter() - started, 6
+            )
+            self.service.telemetry.job_waits.labels(outcome).inc()
+            if outcome == "shutdown":
+                self.close_connection = True  # the server is going away
         if job.timings:
             # Stage timeline as a standard Server-Timing header, so
             # browser devtools / curl -v show where the job's time went

@@ -224,6 +224,7 @@ class Job:
         "submitted_at",
         "timings",
         "trace_id",
+        "wake",
         "worker_slot",
     )
 
@@ -264,6 +265,10 @@ class Job:
         #: Cluster worker slot that computed the job (None in-process).
         self.worker_slot: int | None = None
         self.event = threading.Event()
+        #: Set with ``event`` or by a shutdown; made by the first long
+        #: poll on the job (see :meth:`JobQueue.wait`), so jobs nobody
+        #: long-polls never allocate it.
+        self.wake: threading.Event | None = None
 
     @property
     def operation(self) -> str:
@@ -367,6 +372,12 @@ class Job:
         self.state = state
         self.finished_at = time.monotonic()
         self.event.set()
+        # Read after the set: a long poll that published its wake event
+        # before this read is woken here, and one that publishes it
+        # later sees ``event`` already set (see JobQueue.wait).
+        wake = self.wake
+        if wake is not None:
+            wake.set()
 
 
 class JobQueue:
@@ -723,6 +734,17 @@ class JobQueue:
             items[0].cache_key if not batch and deadline_s is None else None
         )
         with self._lock:
+            inflight = self._inflight.get(inflight_key)
+            if inflight is None:
+                # A worker that finished one of these keys since the
+                # lookup above put its result before leaving _inflight,
+                # so the result is in the cache's memory tier now.  The
+                # peek counts no second miss.
+                for item in items:
+                    if item.state == QUEUED:
+                        cached = self._cache.peek(item.cache_key)
+                        if cached is not None:
+                            item.answer(cached)
             if batch:
                 self._c_batches.inc()
                 self._c_batch_items.inc(len(items))
@@ -739,7 +761,6 @@ class JobQueue:
                 self._record_finished(job)
                 self._record_idempotency(idempotency_key, job)
                 return job
-            inflight = self._inflight.get(inflight_key)
             if inflight is not None:
                 self._c_coalesced.inc()
                 self._record_idempotency(idempotency_key, inflight)
@@ -825,6 +846,28 @@ class JobQueue:
         if job is None:
             raise UnknownJobError(f"no such job: {job_id!r}")
         return job
+
+    def wait(self, job: Job, timeout: float) -> str:
+        """Block until ``job`` finishes, ``timeout`` passes, or shutdown.
+
+        The long poll behind ``GET /v1/jobs/{id}?wait_s=``.  Returns
+        ``"finished"``, ``"expired"`` or ``"shutdown"``; :meth:`shutdown`
+        wakes every waiter, on running jobs too.  The queue lock is held
+        only to publish the job's wake event, never while waiting.
+        """
+        if not job.event.is_set():
+            with self._lock:
+                closed = self._closed
+                if not closed and job.wake is None:
+                    job.wake = threading.Event()
+                wake = job.wake
+            # Re-checked after publishing ``wake``: a settle that read
+            # ``job.wake`` before it was published set ``event`` first.
+            if not closed and not job.event.is_set():
+                wake.wait(timeout)
+        if job.event.is_set():
+            return "finished"
+        return "shutdown" if self._closed else "expired"
 
     # ------------------------------------------------------------------
     # Delta-ingest cache revalidation
@@ -1155,6 +1198,7 @@ class JobQueue:
     def shutdown(self, *, wait: bool = True) -> None:
         """Stop accepting jobs and (optionally) drain the workers.
 
+        Every long poll (:meth:`wait`) returns at once.
         Queued-but-unstarted jobs are failed immediately (never left
         hanging for waiters), so the shutdown sentinels reach the
         workers without blocking behind pending work; workers still
@@ -1168,6 +1212,11 @@ class JobQueue:
             if self._closed:
                 return  # double-shutdown is a no-op
             self._closed = True
+            # Answer every long poll now with its job's current view,
+            # even on a job a worker is still running.
+            for job in self._jobs.values():
+                if job.wake is not None:
+                    job.wake.set()
         while True:
             try:
                 job = self._queue.get_nowait()

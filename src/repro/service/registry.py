@@ -156,6 +156,9 @@ def spill_csv(relation: Relation, spill_dir: Path) -> str | None:
     of serving wrong data.  A file that exists already holds this very
     content and is left alone.  Returns the path, or ``None`` when it
     cannot be written (best effort: the snapshot is preferred anyway).
+    The rows come from the store's decoded row list (which the
+    fingerprint already decoded), so no row ``frozenset`` is built on
+    the resident relation.
     """
     import csv
     from io import StringIO
@@ -165,7 +168,7 @@ def spill_csv(relation: Relation, spill_dir: Path) -> str | None:
         buffer = StringIO()
         writer = csv.writer(buffer)
         writer.writerow(relation.schema.names)
-        writer.writerows(relation.sorted_rows())
+        writer.writerows(sorted(relation.columns().row_list, key=repr))
         try:
             atomic_write_text(kept, buffer.getvalue())
         except OSError:

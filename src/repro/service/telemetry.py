@@ -736,6 +736,13 @@ class Telemetry:
             "End-to-end HTTP request latency",
             labelnames=("method", "route", "status"),
         )
+        self.job_waits = self.metrics.counter(
+            "http_job_waits_total",
+            "Job long polls (GET /v1/jobs/<id>?wait_s=), by how the wait ended",
+            labelnames=("outcome",),
+        )
+        for outcome in ("finished", "expired", "shutdown"):
+            self.job_waits.labels(outcome)  # pre-touch: scrapes show zeros
         self.stage_latency = self.metrics.histogram(
             "stage_seconds",
             "Per-stage span durations across requests and jobs",

@@ -249,6 +249,24 @@ class TestClusterService:
         assert stats["cache"]["hits"] == 1
         assert stats["cluster"]["dispatched"] == 1  # hit never dispatched
 
+    def test_uncached_run_is_a_submit_plus_one_long_poll(self, tmp_path):
+        from test_service_http import _settled_count
+
+        # jobs.slow holds the job past its submit, so the client must
+        # wait; the long poll makes that wait one request.
+        plan = {"seed": 1, "rules": [{"site": "jobs.slow", "delay_s": 0.3, "times": 1}]}
+        config = ServiceConfig(
+            port=0, spill_dir=tmp_path / "spill", worker_procs=1, fault_plan=plan
+        )
+        with Service(config) as service:
+            client = ServiceClient(f"http://127.0.0.1:{service.port}")
+            fp = client.register_dataset(path=str(make_csv(tmp_path)))["fingerprint"]
+            view = client.run(fp, "mine", {"strategy": "beam"})
+            assert view["state"] == "done" and view["cached"] is False
+            assert _settled_count(service, "POST", "jobs", 1) == 1
+            assert _settled_count(service, "GET", "jobs/{job_id}", 1) == 1
+            assert service.telemetry.job_waits.value("finished") == 1
+
     def test_worker_crash_fails_inflight_then_respawns_warm(self, tmp_path):
         """The acceptance scenario: crash → reason, respawn, snapshot warm."""
         csv = make_csv(tmp_path)

@@ -369,6 +369,93 @@ class TestJobQueue:
         finally:
             jobs.shutdown()
 
+    def test_submit_racing_a_finishing_twin_takes_its_result(self, tmp_path):
+        """A submit whose cache lookup missed just before an identical
+        in-flight job finished must take that job's result: the worker
+        put it in the cache and left the in-flight table in between."""
+        registry, cache, jobs, fp = self.queue_for(tmp_path, workers=1)
+        gate = threading.Event()
+        computed: list = []
+        original_relation = registry.relation
+
+        def gated_relation(fingerprint):
+            computed.append(fingerprint)
+            gate.wait(5)
+            return original_relation(fingerprint)
+
+        held = threading.Event()
+        release = threading.Event()
+        original_get = cache.get
+        racers: list = []
+
+        def holding_get(key):
+            found = original_get(key)
+            if threading.current_thread() in racers:
+                held.set()  # between the cache read and the queue lock
+                release.wait(5)
+            return found
+
+        registry.relation = gated_relation
+        cache.get = holding_get
+        try:
+            first = jobs.submit(fp, "mine", {"seed": 3})
+            second: list = []
+            racer = threading.Thread(
+                target=lambda: second.append(jobs.submit(fp, "mine", {"seed": 3}))
+            )
+            racers.append(racer)
+            racer.start()
+            assert held.wait(5)
+            gate.set()
+            deadline = time.monotonic() + 10
+            while jobs.stats()["completed_total"][DONE] < 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            release.set()
+            racer.join(timeout=10)
+            (job,) = second
+            assert job is not first
+            assert job.state == DONE and job.cached
+            assert len(computed) == 1
+            clean = dict(job.result)
+            clean.pop("cached")
+            assert clean == first.result
+            assert cache.stats()["misses"] == 2  # one per submission
+        finally:
+            gate.set()
+            release.set()
+            registry.relation = original_relation
+            jobs.shutdown()
+
+    def test_long_polls_never_miss_a_finish(self, tmp_path):
+        """Many long polls racing many finishing jobs: a wake lost
+        between publishing and settling would leave a poll to expire."""
+        import sys
+
+        _, _, jobs, fp = self.queue_for(tmp_path, workers=4, max_queue=256)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            submitted = [jobs.submit(fp, "mine", {"seed": seed}) for seed in range(40)]
+            outcomes: list = []
+            pollers = [
+                threading.Thread(
+                    target=lambda job=job: outcomes.append(jobs.wait(job, 10))
+                )
+                for job in submitted
+                for _ in range(2)
+            ]
+            for poller in pollers:
+                poller.start()
+            for poller in pollers:
+                poller.join(timeout=30)
+            assert not any(poller.is_alive() for poller in pollers)
+            assert outcomes == ["finished"] * len(pollers)
+            assert all(job.state == DONE for job in submitted)
+        finally:
+            sys.setswitchinterval(switch)
+            jobs.shutdown()
+
     def test_schema_respelling_is_a_cache_hit(self, tmp_path):
         _, cache, jobs, fp = self.queue_for(tmp_path, workers=1)
         try:

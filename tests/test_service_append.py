@@ -178,6 +178,24 @@ class TestRegistryAppend:
         assert entry2.chunk_fingerprints == info["chain"]["chunks"]
         assert reborn.relation(new_fp).fingerprint() == new_fp
 
+    def test_append_leaves_the_resident_version_undecoded(self, tmp_path):
+        import csv
+        from io import StringIO
+
+        registry = self.registry(tmp_path)
+        entry, _ = registry.register_text(BASE_CSV, name="t")
+        entry2, info = registry.append_rows(entry.fingerprint, DELTA_ROWS)
+        relation = entry2.relation
+        # No row frozenset on the resident version: the spill wrote from
+        # the store's decoded row list.
+        assert relation._row_cache is None
+        spilled = tmp_path / "spill" / f"dataset-{info['fingerprint']}.csv"
+        expected = StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(relation.schema.names)
+        writer.writerows(relation.sorted_rows())  # the set-ordered rows
+        assert spilled.read_bytes() == expected.getvalue().encode("utf-8")
+
 
     def test_superseded_fingerprint_reloads_evicted_live_version(
         self, tmp_path

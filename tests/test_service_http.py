@@ -2,6 +2,7 @@
 
 import json
 import threading
+import time
 import urllib.request
 
 import numpy as np
@@ -538,3 +539,176 @@ class TestObservabilityHTTP:
         assert metrics["request_latency"]["count"] >= 2
         assert metrics["log"]["lines"] >= 1
         assert metrics["log"]["dropped"] == 0
+
+
+def _requests_seen(service, method, route):
+    """Requests the server observed on one route (any status)."""
+    return sum(
+        series["count"]
+        for series in service.telemetry.http_latency.series()
+        if series["labels"][:2] == [method, route]
+    )
+
+
+def _settled_count(service, method, route, at_least):
+    """The route's request count once the server has observed at least
+    ``at_least`` (a reply larger than the write buffer leaves before its
+    request is observed)."""
+    deadline = time.monotonic() + 5
+    while _requests_seen(service, method, route) < at_least:
+        assert time.monotonic() < deadline, "requests never observed"
+        time.sleep(0.005)
+    time.sleep(0.05)  # room for a stray extra request to land
+    return _requests_seen(service, method, route)
+
+
+def _slow_service(tmp_path, delay_s, **config_kwargs):
+    """A service whose next job sleeps ``delay_s`` before computing."""
+    plan = {"seed": 1, "rules": [{"site": "jobs.slow", "delay_s": delay_s, "times": 1}]}
+    return Service(
+        ServiceConfig(
+            port=0, spill_dir=tmp_path / "slow-spill", fault_plan=plan, **config_kwargs
+        )
+    )
+
+
+class TestJobLongPoll:
+    """``GET /v1/jobs/{id}?wait_s=`` and the client's long-poll wait."""
+
+    def test_uncached_run_makes_two_requests(self, client, service, tmp_path):
+        fp = client.register_dataset(path=str(make_csv(tmp_path)))["fingerprint"]
+        view = client.run(fp, "mine", {"seed": 11})
+        assert view["state"] == "done" and view["cached"] is False
+        assert _settled_count(service, "POST", "jobs", 1) == 1
+        assert _settled_count(service, "GET", "jobs/{job_id}", 1) <= 1
+        # A job slowed past its submit makes the one long poll certain.
+        with _slow_service(tmp_path, 0.3) as slow:
+            slow_client = ServiceClient(f"http://127.0.0.1:{slow.port}")
+            fp = slow_client.register_dataset(path=str(make_csv(tmp_path)))[
+                "fingerprint"
+            ]
+            view = slow_client.run(fp, "mine", {"seed": 11})
+            assert view["state"] == "done" and view["cached"] is False
+            assert _settled_count(slow, "POST", "jobs", 1) == 1
+            assert _settled_count(slow, "GET", "jobs/{job_id}", 1) == 1
+
+    def test_long_poll_returns_promptly_when_the_job_finishes(self, tmp_path):
+        with _slow_service(tmp_path, 0.4) as service:
+            client = ServiceClient(f"http://127.0.0.1:{service.port}")
+            fp = client.register_dataset(path=str(make_csv(tmp_path)))["fingerprint"]
+            job_id = client.submit_job(fp, "mine", {})["job_id"]
+            started = time.monotonic()
+            view = client._request("GET", f"/v1/jobs/{job_id}?wait_s=5")
+            returned = time.monotonic()
+            assert view["state"] == "done"
+            finished_at = service.jobs.get(job_id).finished_at
+            assert returned - started >= 0.3  # it really waited
+            assert returned - finished_at < 0.05
+            waits = service.telemetry.job_waits
+            assert waits.value("finished") == 1 and waits.value("expired") == 0
+
+    def test_wait_is_held_only_to_the_cap(self, tmp_path, monkeypatch):
+        import repro.service.http as http_module
+
+        monkeypatch.setattr(http_module, "MAX_JOB_WAIT_S", 0.2)
+        with _slow_service(tmp_path, 1.5) as service:
+            client = ServiceClient(f"http://127.0.0.1:{service.port}")
+            fp = client.register_dataset(path=str(make_csv(tmp_path)))["fingerprint"]
+            job_id = client.submit_job(fp, "mine", {})["job_id"]
+            started = time.monotonic()
+            view = client._request("GET", f"/v1/jobs/{job_id}?wait_s=1e9")
+            elapsed = time.monotonic() - started
+            assert view["state"] in ("queued", "running")
+            assert 0.15 <= elapsed < 1.0
+            assert service.telemetry.job_waits.value("expired") == 1
+            # The client's loop rides the capped polls to the finish.
+            assert client.wait_job(job_id)["state"] == "done"
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "wait_s=abc",
+            "wait_s=-1",
+            "wait_s=nan",
+            "wait_s=inf",
+            "wait_s=",
+            "wait_s=1&wait_s=2",
+        ],
+    )
+    def test_bad_wait_s_is_a_400_envelope(self, client, service, tmp_path, query):
+        fp = client.register_dataset(path=str(make_csv(tmp_path)))["fingerprint"]
+        job_id = client.submit_job(fp, "mine", {})["job_id"]
+        with pytest.raises(ServiceClientError) as excinfo:
+            client._request("GET", f"/v1/jobs/{job_id}?{query}")
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "bad_request"
+        assert "wait_s" in str(excinfo.value)
+
+    def test_get_without_wait_s_is_immediate(self, tmp_path):
+        with _slow_service(tmp_path, 1.0) as service:
+            client = ServiceClient(f"http://127.0.0.1:{service.port}")
+            fp = client.register_dataset(path=str(make_csv(tmp_path)))["fingerprint"]
+            job_id = client.submit_job(fp, "mine", {})["job_id"]
+            started = time.monotonic()
+            view = client.get_job(job_id)
+            assert time.monotonic() - started < 0.5
+            assert view["state"] in ("queued", "running")
+            assert client.wait_job(job_id)["state"] == "done"
+
+    def test_stop_answers_a_long_poll_on_a_running_job(self, tmp_path):
+        service = _slow_service(tmp_path, 1.5).start()
+        stopper = threading.Thread(target=service.stop)
+        try:
+            client = ServiceClient(f"http://127.0.0.1:{service.port}", retries=0)
+            fp = client.register_dataset(path=str(make_csv(tmp_path)))["fingerprint"]
+            job_id = client.submit_job(fp, "mine", {})["job_id"]
+            job = service.jobs.get(job_id)
+            replies: list = []
+            def long_poll():
+                view = client._request("GET", f"/v1/jobs/{job_id}?wait_s=5")
+                replies.append((view, time.monotonic()))
+
+            poller = threading.Thread(target=long_poll)
+            poller.start()
+            deadline = time.monotonic() + 5
+            while job.state != "running" or job.wake is None:
+                assert time.monotonic() < deadline, "long poll never started waiting"
+                time.sleep(0.005)
+            stop_called = time.monotonic()
+            stopper.start()
+            poller.join(timeout=5)
+            assert replies, "the long poll was not answered"
+            view, answered = replies[0]
+            assert answered - stop_called < 0.5
+            assert view["state"] == "running"
+            assert service.telemetry.job_waits.value("shutdown") == 1
+        finally:
+            if stopper.ident is None:
+                stopper.start()
+            stopper.join(timeout=10)
+
+    def test_wait_job_still_accepts_poll_s(self, client, tmp_path):
+        fp = client.register_dataset(path=str(make_csv(tmp_path)))["fingerprint"]
+        job_id = client.submit_job(fp, "mine", {"seed": 4})["job_id"]
+        view = client.wait_job(job_id, poll_s=0.001, poll_cap_s=0.01)
+        assert view["state"] == "done"
+        validate_report(view["result"])
+
+    def test_request_log_carries_waited_s(self, tmp_path):
+        log_path = tmp_path / "requests.jsonl"
+        with _slow_service(tmp_path, 0.2, request_log_path=str(log_path)) as service:
+            client = ServiceClient(f"http://127.0.0.1:{service.port}")
+            fp = client.register_dataset(path=str(make_csv(tmp_path)))["fingerprint"]
+            job_id = client.submit_job(fp, "mine", {})["job_id"]
+            client.wait_job(job_id)
+            client.get_job(job_id)
+        lines = [json.loads(line) for line in log_path.read_text().splitlines()]
+        gets = [
+            line
+            for line in lines
+            if line.get("kind") == "request" and line.get("route") == "jobs/{job_id}"
+        ]
+        assert len(gets) == 2
+        waited = [line for line in gets if "waited_s" in line]
+        assert len(waited) == 1  # only the long poll carries it
+        assert waited[0]["waited_s"] >= 0.1
