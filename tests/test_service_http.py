@@ -575,22 +575,15 @@ def _slow_service(tmp_path, delay_s, **config_kwargs):
 class TestJobLongPoll:
     """``GET /v1/jobs/{id}?wait_s=`` and the client's long-poll wait."""
 
-    def test_uncached_run_makes_two_requests(self, client, service, tmp_path):
-        fp = client.register_dataset(path=str(make_csv(tmp_path)))["fingerprint"]
-        view = client.run(fp, "mine", {"seed": 11})
-        assert view["state"] == "done" and view["cached"] is False
-        assert _settled_count(service, "POST", "jobs", 1) == 1
-        assert _settled_count(service, "GET", "jobs/{job_id}", 1) <= 1
-        # A job slowed past its submit makes the one long poll certain.
-        with _slow_service(tmp_path, 0.3) as slow:
-            slow_client = ServiceClient(f"http://127.0.0.1:{slow.port}")
-            fp = slow_client.register_dataset(path=str(make_csv(tmp_path)))[
-                "fingerprint"
-            ]
-            view = slow_client.run(fp, "mine", {"seed": 11})
+    def test_uncached_run_makes_two_requests(self, tmp_path):
+        # jobs.slow holds the job past its submit, so the client must wait.
+        with _slow_service(tmp_path, 0.3) as service:
+            client = ServiceClient(f"http://127.0.0.1:{service.port}")
+            fp = client.register_dataset(path=str(make_csv(tmp_path)))["fingerprint"]
+            view = client.run(fp, "mine", {"seed": 11})
             assert view["state"] == "done" and view["cached"] is False
-            assert _settled_count(slow, "POST", "jobs", 1) == 1
-            assert _settled_count(slow, "GET", "jobs/{job_id}", 1) == 1
+            assert _settled_count(service, "POST", "jobs", 1) == 1
+            assert _settled_count(service, "GET", "jobs/{job_id}", 1) == 1
 
     def test_long_poll_returns_promptly_when_the_job_finishes(self, tmp_path):
         with _slow_service(tmp_path, 0.4) as service:
