@@ -139,9 +139,8 @@ def main() -> int:
                 f"bags {cold['result']['bags']})"
             )
             # The client waited on the job with one long poll at most
-            # (none when the submit answered done).  A reply larger
-            # than the server's write buffer can leave before its
-            # request is observed, hence the short settle.
+            # (none when the submit answered done).  A request is
+            # observed just after its reply, hence the short settle.
             time.sleep(0.2)
             polls = route_requests(client, "GET", "jobs/{job_id}")
             assert polls <= 1, f"{polls} GET jobs/{{job_id}} for one cold mine"

@@ -252,9 +252,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-ajd-service/1.0"
     protocol_version = "HTTP/1.1"
-    # Buffer the response: the status line, headers and body leave in
-    # one send when ``handle_one_request`` flushes, not as a headers
-    # send plus a body send that the reader wakes up between.
+    # Buffer the response so its status line, headers and body leave in
+    # one send (the flush after the body), not as a headers send plus a
+    # body send that the reader wakes up between.
     wbufsize = -1
 
     # ------------------------------------------------------------------
@@ -305,6 +305,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             self.wfile.write(body[: max(len(body) // 2, 1)])
             return
         self.wfile.write(body)
+        self.wfile.flush()  # reply first, then observe the request
 
     def _send_tracing_headers(self) -> None:
         """``X-Request-Id`` (every response) + optional ``Server-Timing``."""
@@ -492,6 +493,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self._send_tracing_headers()
         self.end_headers()
         self.wfile.write(body)
+        self.wfile.flush()
 
     def _handle_list_datasets(self) -> None:
         self._send_json(

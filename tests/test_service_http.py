@@ -552,8 +552,7 @@ def _requests_seen(service, method, route):
 
 def _settled_count(service, method, route, at_least):
     """The route's request count once the server has observed at least
-    ``at_least`` (a reply larger than the write buffer leaves before its
-    request is observed)."""
+    ``at_least`` (a request is observed just after its reply is sent)."""
     deadline = time.monotonic() + 5
     while _requests_seen(service, method, route) < at_least:
         assert time.monotonic() < deadline, "requests never observed"
