@@ -251,6 +251,17 @@ def fresh_batch_dispatch_speedup() -> float:
     return _fresh_store_metrics()["batch_vs_singleton_dispatch_speedup"]
 
 
+def fresh_append_fingerprint_speedup() -> float:
+    """Append-then-fingerprint vs a from-scratch fingerprint, 2e4 rows."""
+    import tempfile
+
+    from test_bench_store import run_fingerprint_tier
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tier = run_fingerprint_tier(20_000, 241, Path(tmp))
+    return tier["append_incremental_vs_scratch_fingerprint_speedup"]
+
+
 def fresh_csv_ingest_speedup() -> float:
     """Tuple-route yardstick over ``read_csv`` ingest, 1e5 rows."""
     import tempfile
@@ -385,6 +396,15 @@ def baseline_batch_dispatch_speedup() -> float:
     )
 
 
+def baseline_append_fingerprint_speedup() -> float:
+    record = _last_record_with_tier(REPO_ROOT / "BENCH_store.json", "n=2e4")
+    return float(
+        record["tiers"]["n=2e4"][
+            "append_incremental_vs_scratch_fingerprint_speedup"
+        ]
+    )
+
+
 #: name → (baseline extractor, fresh measurement, slack).  All values
 #: are "higher is better" ratios; the gate fails when
 #: fresh < baseline / (factor · slack).  ``slack`` > 1 widens the floor
@@ -498,6 +518,21 @@ CEILING_OPS = {
     ),
 }
 
+#: name → (baseline extractor, fresh measurement, floor).  **Higher is
+#: better** ratios gated against an *absolute* floor, for properties
+#: that hold on any machine rather than relative to a recording.
+FLOOR_OPS = {
+    # An append fingerprints only its delta: extended_with(64 rows) +
+    # fingerprint() against a from-scratch fingerprint() of the same
+    # 2e4 rows (best of 5 each).  Falling toward 1x means appends
+    # re-hash the whole relation again.
+    "store/append_incremental_vs_scratch_fingerprint_speedup@2e4": (
+        baseline_append_fingerprint_speedup,
+        fresh_append_fingerprint_speedup,
+        4.0,
+    ),
+}
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -558,7 +593,10 @@ def main(argv: list[str] | None = None) -> int:
             }
         )
 
-    for name, (baseline_fn, fresh_fn, ceiling) in CEILING_OPS.items():
+    absolute = [
+        (name, spec, "ceiling") for name, spec in CEILING_OPS.items()
+    ] + [(name, spec, "floor") for name, spec in FLOOR_OPS.items()]
+    for name, (baseline_fn, fresh_fn, bound), kind in absolute:
         try:
             baseline = baseline_fn()
         except (FileNotFoundError, KeyError, ValueError, json.JSONDecodeError) as exc:
@@ -575,19 +613,19 @@ def main(argv: list[str] | None = None) -> int:
                 {"op": name, "baseline": baseline, "error": f"fresh: {exc}"}
             )
             continue
-        ok = fresh <= ceiling
+        ok = fresh <= bound if kind == "ceiling" else fresh >= bound
         failures += 0 if ok else 1
         verdict = "ok" if ok else "REGRESSION"
         print(
             f"[gate] {verdict:>10}  {name}: fresh {fresh:.2f}x vs absolute "
-            f"ceiling {ceiling:.2f}x (baseline {baseline:.2f}x)"
+            f"{kind} {bound:.2f}x (baseline {baseline:.2f}x)"
         )
         results.append(
             {
                 "op": name,
                 "baseline": baseline,
                 "fresh": fresh,
-                "ceiling": ceiling,
+                kind: bound,
                 "ok": ok,
             }
         )

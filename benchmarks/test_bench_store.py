@@ -13,9 +13,18 @@ The acceptance scenarios of the persistence PR, measured two ways:
   one resident engine).  Results must be bit-identical; the batch must
   reach the server as exactly one job.
 
+* **append**: twelve 64-row deltas appended one after another to a
+  CSV-ingested 8-column base, each through the service's three version
+  steps — ``append_version`` (extend + fingerprint), ``spill_csv`` and
+  ``write_snapshot`` — with the median of each step recorded.  Beside
+  it, ``append_incremental_vs_scratch_fingerprint_speedup`` times
+  ``extended_with(delta).fingerprint()`` (which digests only the new
+  rows) against a from-scratch ``fingerprint()`` of the same rows.
+
 ``make bench-store`` appends a record to ``BENCH_store.json`` at the
-repo root (see ``bench_record.py``).  The smoke tier (N=2·10⁴ rows) always runs; the
-full tier (N=10⁵) is opt-in via ``BENCH_STORE_FULL=1``.
+repo root (see ``bench_record.py``).  The smoke tiers (N=2·10⁴ rows;
+append onto 6,144 rows) always run; the full tiers (N=10⁵; append onto
+172,032 rows) are opt-in via ``BENCH_STORE_FULL=1``.
 """
 
 from __future__ import annotations
@@ -30,7 +39,9 @@ import pytest
 from repro.core.random_relations import random_relation
 from repro.relations.io import infer_integer_domains, read_csv, write_csv
 from repro.relations.persist import load_snapshot, save_snapshot
+from repro.relations.relation import Relation
 from repro.service import Service, ServiceClient, ServiceConfig
+from repro.service.registry import append_version, spill_csv, write_snapshot
 
 from bench_record import append_record
 
@@ -69,6 +80,18 @@ def _tier_params():
     if os.environ.get("BENCH_STORE_FULL"):
         tiers.append(("n=1e5", 100_000, 43))
     return tiers
+
+
+def _append_tier_params():
+    tiers = [("append n=6144", 6_144, 47)]
+    if os.environ.get("BENCH_STORE_FULL"):
+        tiers.append(("append n=172032", 172_032, 53))
+    return tiers
+
+
+#: Appends per append tier, and rows per append.
+APPENDS = 12
+APPEND_ROWS = 64
 
 
 def _dir_bytes(path: Path) -> int:
@@ -118,6 +141,98 @@ def run_store_tier(n_rows: int, seed: int, tmp_dir: Path) -> dict:
         "snapshot_write_s": snapshot_write_s,
         "snapshot_load_s": snapshot_load_s,
         "snapshot_vs_csv_reload_speedup": speedup,
+    }
+
+
+def _distinct_rows(n_rows: int, seed: int) -> np.ndarray:
+    """``n_rows`` distinct random rows over 8 columns, in a seeded order."""
+    rng = np.random.default_rng(seed)
+    rows = np.unique(rng.integers(0, 64, size=(n_rows + 64, 8)), axis=0)
+    assert len(rows) >= n_rows
+    return rows[rng.permutation(len(rows))][:n_rows]
+
+
+def _ingest_csv(rows: np.ndarray, csv_path: Path) -> Relation:
+    """Write ``rows`` as a CSV and register-ingest it (fingerprinted)."""
+    header = ",".join("ABCDEFGH")
+    body = "\n".join(",".join(map(str, row)) for row in rows.tolist())
+    csv_path.write_text(f"{header}\n{body}\n")
+    relation = infer_integer_domains(read_csv(csv_path))
+    relation.fingerprint()
+    return relation
+
+
+def run_append_tier(base_rows: int, seed: int, tmp_dir: Path) -> dict:
+    """Twelve 64-row appends through the service's version steps."""
+    table = _distinct_rows(base_rows + APPENDS * APPEND_ROWS, seed)
+    relation = _ingest_csv(table[:base_rows], tmp_dir / "append-base.csv")
+    chain = {"base": relation.fingerprint(), "chunks": [], "version": 1}
+    spill_dir = tmp_dir / "append-spill"
+    spill_dir.mkdir()
+    steps: dict[str, list[float]] = {
+        "append_version": [],
+        "spill_csv": [],
+        "write_snapshot": [],
+    }
+    for k in range(APPENDS):
+        lo = base_rows + k * APPEND_ROWS
+        delta = list(map(tuple, table[lo : lo + APPEND_ROWS].tolist()))
+        start = time.perf_counter()
+        relation, info = append_version(relation, delta, chain)
+        chain = info["chain"]
+        spilled = time.perf_counter()
+        source = spill_csv(relation, spill_dir)
+        snapped = time.perf_counter()
+        write_snapshot(
+            relation,
+            spill_dir / f"snapshot-{relation.fingerprint()}",
+            source=source,
+            chunk_rows=None,
+            chain=chain,
+        )
+        done = time.perf_counter()
+        steps["append_version"].append(spilled - start)
+        steps["spill_csv"].append(snapped - spilled)
+        steps["write_snapshot"].append(done - snapped)
+    # The appended version is the concatenated table, bit for bit.
+    assert len(relation) == len(table)
+    assert relation.fingerprint() == Relation.from_codes(
+        relation.schema, table
+    ).fingerprint()
+    medians = {
+        f"{name}_ms": float(np.median(times)) * 1e3
+        for name, times in steps.items()
+    }
+    return {
+        "base_rows": base_rows,
+        "appends": APPENDS,
+        "append_rows": APPEND_ROWS,
+        **medians,
+        "total_ms": sum(medians.values()),
+    }
+
+
+def run_fingerprint_tier(n_rows: int, seed: int, tmp_dir: Path) -> dict:
+    """Incremental vs from-scratch fingerprint of one appended version."""
+    table = _distinct_rows(n_rows + APPEND_ROWS, seed)
+    base = _ingest_csv(table[:n_rows], tmp_dir / "fingerprint-base.csv")
+    delta = list(map(tuple, table[n_rows:].tolist()))
+    incremental_s = scratch_s = float("inf")
+    for _ in range(5):
+        start = time.perf_counter()
+        appended = base.extended_with(delta)
+        fingerprint = appended.fingerprint()
+        incremental_s = min(incremental_s, time.perf_counter() - start)
+        # The same rows in a fresh relation with nothing cached.
+        fresh = Relation._from_store(appended.schema, appended.columns())
+        start = time.perf_counter()
+        assert fresh.fingerprint() == fingerprint
+        scratch_s = min(scratch_s, time.perf_counter() - start)
+    return {
+        "fingerprint_incremental_ms": incremental_s * 1e3,
+        "fingerprint_scratch_ms": scratch_s * 1e3,
+        "append_incremental_vs_scratch_fingerprint_speedup": scratch_s
+        / max(incremental_s, 1e-9),
     }
 
 
@@ -186,7 +301,8 @@ def run_batch_tier(n_rows: int, seed: int, csv_path: Path) -> dict:
 def test_bench_store(label, n_rows, seed, tmp_path):
     store = run_store_tier(n_rows, seed, tmp_path)
     batch = run_batch_tier(n_rows, seed + 100, tmp_path / "batch.csv")
-    tier = {**store, **batch}
+    fingerprint = run_fingerprint_tier(n_rows, seed + 200, tmp_path)
+    tier = {**store, **batch, **fingerprint}
     _RECORD["tiers"][label] = tier
     print(
         f"\n[{label}] csv {store['csv_mb']:.2f} MB parse "
@@ -197,5 +313,20 @@ def test_bench_store(label, n_rows, seed, tmp_path):
         f"({store['snapshot_vs_csv_reload_speedup']:.0f}x) | batch-of-8 "
         f"{batch['batch_total_s'] * 1e3:.0f}ms vs singletons "
         f"{batch['singleton_total_s'] * 1e3:.0f}ms "
-        f"({batch['batch_vs_singleton_dispatch_speedup']:.2f}x)"
+        f"({batch['batch_vs_singleton_dispatch_speedup']:.2f}x) | "
+        f"fingerprint append {fingerprint['fingerprint_incremental_ms']:.1f}ms "
+        f"vs scratch {fingerprint['fingerprint_scratch_ms']:.1f}ms "
+        f"({fingerprint['append_incremental_vs_scratch_fingerprint_speedup']:.1f}x)"
+    )
+
+
+@pytest.mark.parametrize("label,base_rows,seed", _append_tier_params())
+def test_bench_store_append(label, base_rows, seed, tmp_path):
+    tier = run_append_tier(base_rows, seed, tmp_path)
+    _RECORD["tiers"][label] = tier
+    print(
+        f"\n[{label}] median of {APPENDS} appends of {APPEND_ROWS} rows: "
+        f"append_version {tier['append_version_ms']:.1f}ms, spill_csv "
+        f"{tier['spill_csv_ms']:.1f}ms, write_snapshot "
+        f"{tier['write_snapshot_ms']:.1f}ms (total {tier['total_ms']:.1f}ms)"
     )

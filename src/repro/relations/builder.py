@@ -158,6 +158,24 @@ class ColumnStoreBuilder:
         """Distinct values seen per column so far."""
         return tuple(len(d) for d in self._decoders)
 
+    def decoded_rows(self, start: int = 0) -> list[tuple]:
+        """The retained distinct rows from position ``start`` on, decoded.
+
+        Retained rows keep their arrival order, so after
+        :meth:`from_relation` the rows past the relation's length are
+        exactly the appended rows it did not already hold.  Each value is
+        the one :meth:`finish`'s relation decodes that cell to.
+        """
+        fresh = self._distinct[start:]
+        return list(
+            zip(
+                *(
+                    [decoder[code] for code in fresh[:, j].tolist()]
+                    for j, decoder in enumerate(self._decoders)
+                )
+            )
+        )
+
     def _code(self, position: int, value) -> int:
         """The code of ``value`` in one column, assigning the next if new."""
         encoder = self._encoders[position]

@@ -247,9 +247,9 @@ def infer_integer_domains(relation: Relation) -> Relation:
     the paper's random-model bounds need explicit domain sizes.  This uses
     the *active* domain ``Π_X(R)`` as the declared domain — the tightest
     choice, matching the paper's ``d_A = |Π_A(R)|`` convention.  The
-    result shares the relation's rows, columnar store and fingerprint
-    (declared domains change none of them), so undecoded rows stay
-    undecoded.
+    result shares the relation's rows, columnar store, fingerprint and
+    row digests (declared domains change none of them), so undecoded
+    rows stay undecoded.
     """
     attrs = [
         Attribute(name, relation.active_domain(name))
@@ -260,4 +260,5 @@ def infer_integer_domains(relation: Relation) -> Relation:
         relation._store,
         rows=relation._row_cache,
         fingerprint=relation._fingerprint,
+        digests=relation._digests,
     )

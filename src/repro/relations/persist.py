@@ -13,7 +13,12 @@ the in-memory :class:`~repro.relations.columns.ColumnStore` wants it:
   floats, strings, bools, and ``None`` round-trip exactly — including
   ``nan``/``inf`` via ``repr``), the content
   :meth:`~repro.relations.relation.Relation.fingerprint`, and optional
-  provenance (source CSV path + size + mtime).
+  provenance (source CSV path + size + mtime);
+* ``digests.npy`` (optional) — the relation's sorted per-row digests,
+  16 bytes a row, from which the fingerprint is one hash.  A load
+  adopts them only when they are well formed, strictly sorted and hash
+  to the recorded fingerprint, so an appended-to reload digests only
+  the appended rows.
 
 Loading rebuilds the relation through
 :meth:`ColumnStore.from_coded_columns` — the same zero-factorization
@@ -21,12 +26,14 @@ path the streaming builder uses — so a reloaded dataset is immediately
 query-ready and **bit-identical** to the one that was saved: same
 fingerprint, same rows, same cardinalities, same decoders.
 
-Fidelity is enforced at *save* time: after deriving the on-disk form,
-:func:`save_snapshot` decodes it back and compares fingerprints; a
-relation whose values cannot round-trip (e.g. the ``1 == True == 1.0``
-hash collapse leaving two repr-distinct values behind one code) raises
-:class:`~repro.errors.SnapshotError` *instead of writing*, so a
-snapshot on disk is always trustworthy and loads do not pay an O(N)
+Fidelity is enforced at *save* time, in O(Σ cards): every decoder value
+must read back from the metadata JSON with the same ``repr``, which is
+what each row's digest hashes.  A relation built in code from Python
+rows additionally has its on-disk form decoded back and re-fingerprinted
+(O(N)), since its rows may hold repr-distinct values behind one code
+(the ``1 == True == 1.0`` hash collapse).  A relation that fails either
+check raises :class:`~repro.errors.SnapshotError` *instead of writing*,
+so a snapshot on disk is always trustworthy and loads do not pay an O(N)
 re-hash.  Loads verify structure (format, version, dtype, shapes, code
 ranges, duplicate-free decode) plus the recorded fingerprint string
 against the caller's expectation; ``verify_content=True`` additionally
@@ -40,6 +47,7 @@ snapshot under the published name.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import shutil
@@ -62,6 +70,10 @@ FORMAT_NAME = "repro-columnar-snapshot"
 FORMAT_VERSION = 2
 SUPPORTED_VERSIONS = (1, 2)
 META_FILE = "meta.json"
+#: Optional: the relation's sorted row digests (see
+#: :meth:`~repro.relations.relation.Relation.fingerprint`).  Snapshots
+#: without it load as before; the digests are then recomputed on demand.
+DIGESTS_FILE = "digests.npy"
 MEMO_FILE = "memo.json"
 MEMO_FORMAT_NAME = "repro-entropy-memo"
 #: The memo sidecar format is versioned independently of the snapshot
@@ -106,14 +118,6 @@ def atomic_write_text(path: Path, text: str) -> None:
         handle.flush()
         os.fsync(handle.fileno())
     tmp.replace(path)
-
-
-def _fsync_file(path: Path) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def _fsync_dir(path: Path) -> None:
@@ -227,6 +231,27 @@ def _derive_decoders(relation) -> list[list]:
     return decoders
 
 
+def _check_decoders_round_trip(decoders: list[list], stored: list[list]) -> None:
+    """Require every decoder value to read back with the same ``repr``.
+
+    ``stored`` is the tagged decoders as parsed back from the metadata
+    JSON.  Row digests hash ``repr(row)``, so equal value ``repr``s mean
+    the reloaded rows hash exactly as the saved ones.  O(Σ cards).
+    """
+    for decoder, tags in zip(decoders, stored):
+        for value, tag in zip(decoder, tags):
+            try:
+                same = repr(_untag_value(tag)) == repr(value)
+            except SnapshotError:
+                same = False
+            if not same:
+                raise SnapshotError(
+                    f"value {value!r} of type {type(value).__name__!r} does "
+                    "not round-trip through the snapshot's decoders; keep "
+                    "the CSV source for this dataset"
+                )
+
+
 def save_snapshot(
     relation,
     path: str | Path,
@@ -240,7 +265,9 @@ def save_snapshot(
     exists).  ``source`` records provenance (the CSV the relation was
     ingested from) with its current size/mtime so warm restarts can
     cheaply detect an unchanged file; ``extra`` is carried verbatim in
-    the metadata (must be JSON-serializable).
+    the metadata (must be JSON-serializable).  The relation's sorted row
+    digests are written beside the columns (``digests.npy``), so a
+    reloaded version appends without re-hashing its rows.
 
     Raises :class:`~repro.errors.SnapshotError` when the relation's
     values cannot round-trip bit-identically (nothing is written) and
@@ -249,27 +276,8 @@ def save_snapshot(
     path = Path(path)
     store = relation.columns()
     decoders = _derive_decoders(relation)
+    digests = relation._row_digests()
     fingerprint = relation.fingerprint()
-
-    # Fidelity gate: decode the on-disk form back and require the same
-    # content fingerprint.  Catches every repr-changing collapse (1 vs
-    # True vs 1.0 behind one code) before anything is published.
-    rebuilt = _assemble(
-        relation.schema.names,
-        [np.asarray(col) for col in store.codes],
-        list(store.cards),
-        decoders,
-        len(relation),
-        expected_fingerprint=None,
-        domains=False,
-    )
-    if rebuilt.fingerprint() != fingerprint:
-        raise SnapshotError(
-            f"relation does not round-trip through columnar decoding "
-            f"(fingerprint {fingerprint} != {rebuilt.fingerprint()}); "
-            "numerically-colliding values (e.g. 1 vs True vs 1.0) share "
-            "a code — keep the CSV source for this dataset"
-        )
 
     tagged = [[_tag_value(v) for v in dec] for dec in decoders]
     column_files = [f"col-{j:03d}.npy" for j in range(len(store.cards))]
@@ -295,6 +303,33 @@ def save_snapshot(
         meta["source"] = provenance
     if extra:
         meta["extra"] = extra
+    meta_text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
+
+    # Fidelity gate, before anything is published.  The values a reload
+    # decodes are the decoders as read back from this very text.
+    _check_decoders_round_trip(decoders, json.loads(meta_text)["decoders"])
+    if relation._row_cache is not None:
+        # Rows built in code may hold repr-distinct values behind one
+        # code (1 vs True vs 1.0), and ``_derive_decoders`` keeps one of
+        # them: decode the on-disk form back and compare fingerprints.
+        # An undecoded relation's decoders are its values, so the check
+        # above already covers it.
+        rebuilt = _assemble(
+            relation.schema.names,
+            [np.asarray(col) for col in store.codes],
+            list(store.cards),
+            decoders,
+            len(relation),
+            expected_fingerprint=None,
+            domains=False,
+        )
+        if rebuilt.fingerprint() != fingerprint:
+            raise SnapshotError(
+                f"relation does not round-trip through columnar decoding "
+                f"(fingerprint {fingerprint} != {rebuilt.fingerprint()}); "
+                "numerically-colliding values (e.g. 1 vs True vs 1.0) share "
+                "a code — keep the CSV source for this dataset"
+            )
 
     tmp = path.with_name(
         path.name + f".tmp{os.getpid()}-{threading.get_ident()}"
@@ -321,7 +356,10 @@ def save_snapshot(
                 )
                 handle.flush()
                 os.fsync(handle.fileno())
-        meta_text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
+        with open(tmp / DIGESTS_FILE, "wb") as handle:
+            np.save(handle, digests)
+            handle.flush()
+            os.fsync(handle.fileno())
         with open(tmp / META_FILE, "w", encoding="utf-8") as handle:
             handle.write(meta_text)
             handle.flush()
@@ -482,6 +520,7 @@ def _assemble(
     expected_fingerprint: str | None,
     domains: bool,
     lazy: bool = False,
+    digests: np.ndarray | None = None,
 ):
     """Build a Relation from coded columns + decoders (shared save/load).
 
@@ -528,7 +567,34 @@ def _assemble(
         ColumnStore.from_coded_columns(row_list, columns, cards, decoders),
         rows=rows,
         fingerprint=expected_fingerprint,
+        digests=digests,
     )
+
+
+def _load_digests(
+    path: Path, names: list[str], n_rows: int, fingerprint: str
+) -> np.ndarray | None:
+    """A snapshot's sorted row digests, or ``None`` when not trustworthy.
+
+    The file is adopted only when it holds ``n_rows`` 16-byte digests in
+    strictly ascending order whose hash reproduces the recorded
+    ``fingerprint``; anything else (absent, unreadable, corrupt) is
+    ignored, and the relation digests its rows instead.
+    """
+    from repro.relations.relation import DIGEST_DTYPE, fingerprint_from_digests
+
+    try:
+        digests = np.load(path / DIGESTS_FILE, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
+    if (
+        digests.dtype != DIGEST_DTYPE
+        or digests.shape != (n_rows,)
+        or not bool(np.all(digests[1:] > digests[:-1]))
+        or fingerprint_from_digests(names, digests) != fingerprint
+    ):
+        return None
+    return digests
 
 
 def load_snapshot(
@@ -617,9 +683,14 @@ def load_snapshot(
         expected_fingerprint=fingerprint,
         domains=domains,
         lazy=True,
+        # Read on first use (an append or a save), not on every load.
+        digests=functools.partial(
+            _load_digests, path, meta["attributes"], n_rows, fingerprint
+        ),
     )
     if verify_content:
         relation._fingerprint = None
+        relation._digests = None
         if relation.fingerprint() != fingerprint:
             raise SnapshotError(
                 f"snapshot {path} content hashes to "

@@ -42,6 +42,44 @@ from repro.relations.columns import ColumnStore, _argsort_runs, _dense_limit
 from repro.relations.schema import RelationSchema, Row, Value
 
 
+#: One row's content digest: ``blake2b(repr(row), digest_size=16)``.
+#: numpy orders fixed-width ``S16`` items as unsigned bytes, which is
+#: Python's ``bytes`` order, so a sorted array lists the digests exactly
+#: as ``sorted()`` of the ``bytes`` objects would.
+DIGEST_DTYPE = np.dtype("S16")
+#: Rows an undecoded relation decodes at a time while digesting them.
+_DIGEST_CHUNK_ROWS = 1 << 16
+
+
+def _digest_rows(rows: Iterable[Row]) -> np.ndarray:
+    """The per-row digests of ``rows``, unsorted, as a read-only array."""
+    blake2b = hashlib.blake2b
+    return np.frombuffer(
+        b"".join(
+            blake2b(repr(row).encode("utf-8"), digest_size=16).digest()
+            for row in rows
+        ),
+        dtype=DIGEST_DTYPE,
+    )
+
+
+def fingerprint_from_digests(names: Sequence[str], digests: np.ndarray) -> str:
+    """The content fingerprint of rows over ``names`` with sorted ``digests``.
+
+    One blake2b over the schema digest, the row count and the
+    concatenated sorted row digests (see :meth:`Relation.fingerprint`).
+    """
+    combined = hashlib.blake2b(digest_size=16)
+    combined.update(
+        hashlib.blake2b(
+            "\x1f".join(names).encode("utf-8"), digest_size=16
+        ).digest()
+    )
+    combined.update(len(digests).to_bytes(8, "big"))
+    combined.update(np.ascontiguousarray(digests))
+    return combined.hexdigest()
+
+
 def _distinct_row_indices(arr, cards) -> "np.ndarray | None":
     """Ascending first-occurrence indices of the distinct rows of a code array.
 
@@ -91,6 +129,7 @@ class Relation:
     """
 
     __slots__ = (
+        "_digests",
         "_engine",
         "_eval",
         "_fingerprint",
@@ -120,6 +159,7 @@ class Relation:
         self._engine = None
         self._eval = None
         self._fingerprint: str | None = None
+        self._digests: "np.ndarray | Callable[[], np.ndarray | None] | None" = None
 
     @property
     def _rows(self) -> frozenset:
@@ -157,13 +197,17 @@ class Relation:
         *,
         rows: frozenset | None = None,
         fingerprint: str | None = None,
+        digests: "np.ndarray | Callable[[], np.ndarray | None] | None" = None,
     ) -> "Relation":
         """A relation over ``schema`` with a ready store and/or row set.
 
         ``rows=None`` leaves the row tuples undecoded until tuple-level
         access (``store`` is then required); ``store=None`` factorizes
         ``rows`` lazily.  The caller guarantees the store's rows are
-        pairwise distinct and, when given, equal to ``rows``.
+        pairwise distinct and, when given, equal to ``rows``, and that
+        ``fingerprint`` and ``digests``, when given, are this content's.
+        ``digests`` is the sorted row-digest array, or a loader called on
+        first use that returns it (``None``: digest the rows instead).
         """
         relation = cls.__new__(cls)
         relation._schema = schema
@@ -172,6 +216,7 @@ class Relation:
         relation._engine = None
         relation._eval = None
         relation._fingerprint = fingerprint
+        relation._digests = digests
         return relation
 
     @classmethod
@@ -671,6 +716,14 @@ class Relation:
         of the concatenated rows, for any split of the data into appends
         (pinned by the property tests in ``tests/test_service_append.py``).
 
+        An undecoded relation (a CSV, snapshot or earlier append) also
+        hands its sorted row digests on: only the appended rows that are
+        new are digested, and their digests are merged in, so the
+        result's fingerprint costs O(|Δ|) hashing.  A relation built
+        from Python rows may hold repr-distinct values behind one code
+        (``1`` and ``True``), which the builder decodes as one, so its
+        result digests its rows afresh on first use.
+
         The result's schema keeps this relation's attribute *names* but
         drops declared domains (appended values may extend them); apply
         :func:`repro.relations.io.infer_integer_domains` to re-derive
@@ -680,12 +733,47 @@ class Relation:
         from repro.relations.builder import ColumnStoreBuilder
 
         builder = ColumnStoreBuilder.from_relation(self)
+        n_old = builder.rows_distinct
         builder.add_rows(rows)
-        return builder.finish(RelationSchema.from_names(self._schema.names))
+        result = builder.finish(RelationSchema.from_names(self._schema.names))
+        if self._row_cache is None and result._row_cache is None:
+            old = self._row_digests()
+            new = np.sort(_digest_rows(builder.decoded_rows(n_old)))
+            result._digests = np.insert(old, np.searchsorted(old, new), new)
+        return result
 
     # ------------------------------------------------------------------
     # Content identity
     # ------------------------------------------------------------------
+    def _row_digests(self) -> np.ndarray:
+        """The sorted ``S16`` array of per-row digests (cached).
+
+        Each row's digest is ``blake2b(repr(row), digest_size=16)``.  An
+        undecoded relation decodes its rows a chunk at a time to digest
+        them and keeps none of the tuples.
+        """
+        digests = self._digests
+        if callable(digests):  # a snapshot's digest file, read on first use
+            digests = self._digests = digests()
+        if digests is None:
+            chunks = [self._row_cache]
+            if chunks[0] is None:
+                store = self._store
+                positions = range(self._schema.arity)
+                chunks = (
+                    store.decode_rows(
+                        np.arange(lo, min(lo + _DIGEST_CHUNK_ROWS, store.n_rows)),
+                        positions,
+                    )
+                    for lo in range(0, store.n_rows, _DIGEST_CHUNK_ROWS)
+                )
+            # The leading empty array types the concatenation when N = 0.
+            digests = np.sort(
+                np.concatenate([_digest_rows(()), *map(_digest_rows, chunks)])
+            )
+            self._digests = digests
+        return digests
+
     def fingerprint(self) -> str:
         """A stable content fingerprint of this relation instance.
 
@@ -695,7 +783,8 @@ class Relation:
         order and the same rows — regardless of
 
         * **ingestion path**: a CSV load for every chunk size, a snapshot
-          reload, and a relation built in code from the same rows agree;
+          reload, an append, and a relation built in code from the same
+          rows agree;
         * **row iteration order**: per-row digests are *sorted* before
           the final hash, so the hash-seed-dependent ``frozenset`` order
           (and ``PYTHONHASHSEED``) never leaks in — and unlike an
@@ -707,9 +796,11 @@ class Relation:
 
         Declared attribute domains are *not* hashed (they are derived
         metadata; ``infer_integer_domains`` does not change the content).
-        The value is computed once and cached on the relation; an
-        undecoded relation hashes its decoded row list, building no row
-        ``frozenset``.
+        The hash is one blake2b over the schema digest, the row count and
+        the relation's cached sorted array of per-row digests (16 bytes a
+        row), all computed once.  That array is what makes appends cheap:
+        :meth:`extended_with` merges the digests of the new rows into it,
+        and a snapshot stores it, so neither re-hashes the old rows.
 
         Examples
         --------
@@ -721,27 +812,7 @@ class Relation:
         """
         fp = self._fingerprint
         if fp is None:
-            combined = hashlib.blake2b(digest_size=16)
-            combined.update(
-                hashlib.blake2b(
-                    "\x1f".join(self._schema.names).encode("utf-8"),
-                    digest_size=16,
-                ).digest()
-            )
-            rows = self._row_cache
-            if rows is None:
-                # Distinct code rows decode to distinct rows, so the
-                # decoded list stands in for the set.
-                rows = self._store.row_list
-            combined.update(len(rows).to_bytes(8, "big"))
-            for digest in sorted(
-                hashlib.blake2b(
-                    repr(row).encode("utf-8"), digest_size=16
-                ).digest()
-                for row in rows
-            ):
-                combined.update(digest)
-            fp = combined.hexdigest()
+            fp = fingerprint_from_digests(self._schema.names, self._row_digests())
             self._fingerprint = fp
         return fp
 

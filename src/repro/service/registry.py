@@ -85,8 +85,11 @@ def resident_bytes(relation: Relation) -> int:
 
     Counts the columnar code arrays exactly (``nbytes``) plus a flat
     per-cell charge for the Python row tuples and per-column decoders.
-    An estimate, not an accounting — it only needs to be deterministic
-    and monotone in the data size for LRU eviction to behave.
+    The per-cell charge is an upper estimate: an undecoded relation (as
+    registered, reloaded or appended) holds no row tuples, only codes,
+    decoders and 16 bytes of row digest per row.  An estimate, not an
+    accounting — it only needs to be deterministic and monotone in the
+    data size for LRU eviction to behave.
     """
     store = relation.columns()
     n = len(relation)
@@ -156,19 +159,23 @@ def spill_csv(relation: Relation, spill_dir: Path) -> str | None:
     of serving wrong data.  A file that exists already holds this very
     content and is left alone.  Returns the path, or ``None`` when it
     cannot be written (best effort: the snapshot is preferred anyway).
-    The rows come from the store's decoded row list (which the
-    fingerprint already decoded), so no row ``frozenset`` is built on
-    the resident relation.
+    The rows are decoded from the store into a local list, so the
+    resident relation keeps neither a row ``frozenset`` nor a cached
+    row list on its store.
     """
     import csv
     from io import StringIO
 
+    import numpy as np
+
     kept = spill_dir / f"dataset-{relation.fingerprint()}.csv"
     if not kept.exists():
+        store = relation.columns()
+        rows = store.decode_rows(np.arange(store.n_rows), range(len(store.cards)))
         buffer = StringIO()
         writer = csv.writer(buffer)
         writer.writerow(relation.schema.names)
-        writer.writerows(sorted(relation.columns().row_list, key=repr))
+        writer.writerows(sorted(rows, key=repr))
         try:
             atomic_write_text(kept, buffer.getvalue())
         except OSError:

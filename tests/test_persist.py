@@ -12,6 +12,8 @@ The load-bearing properties:
 * Truncated, corrupted, or version-mismatched snapshots are rejected at
   **load** time with :class:`SnapshotError` — never a silent wrong
   relation, never a raw numpy/JSON error.
+* The optional ``digests.npy`` is adopted only when it hashes to the
+  recorded fingerprint; a damaged one is ignored, never trusted.
 """
 
 import json
@@ -28,7 +30,9 @@ from repro.info.engine import EntropyEngine
 from repro.jointrees.build import jointree_from_schema
 from repro.relations.builder import relation_from_chunks
 from repro.relations.io import read_csv
+from repro.relations import persist
 from repro.relations.persist import (
+    DIGESTS_FILE,
     FORMAT_VERSION,
     META_FILE,
     atomic_write_text,
@@ -40,7 +44,7 @@ from repro.relations.persist import (
     save_engine_memo,
     save_snapshot,
 )
-from repro.relations.relation import Relation
+from repro.relations.relation import DIGEST_DTYPE, Relation
 from repro.relations.schema import RelationSchema
 
 
@@ -228,6 +232,107 @@ class TestFidelityGate:
         with pytest.raises(SnapshotError):
             save_snapshot(original, tmp_path / "snap")
         assert not (tmp_path / "snap").exists()
+
+
+    def test_value_that_reads_back_differently_rejected(self, tmp_path):
+        # A numpy scalar tags as a float whose repr float() cannot parse:
+        # the save must refuse it instead of publishing an unloadable
+        # snapshot.
+        original = relation_from_chunks(
+            ["a", "b"], [[(np.float64(1.5), "x"), (2.5, "y")]]
+        )
+        with pytest.raises(SnapshotError):
+            save_snapshot(original, tmp_path / "snap")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_undecoded_relation_saves_without_rebuild(self, tmp_path, monkeypatch):
+        original = relation_from_chunks(
+            ["a", "b"], [[(i % 7, f"s{i % 3}") for i in range(30)]]
+        )
+        assert original._row_cache is None
+
+        def no_rebuild(*args, **kwargs):
+            raise AssertionError("the O(N) rebuild ran for an undecoded relation")
+
+        monkeypatch.setattr(persist, "_assemble", no_rebuild)
+        save_snapshot(original, tmp_path / "snap")
+        monkeypatch.undo()
+        reloaded = load_snapshot(tmp_path / "snap", verify_content=True)
+        assert_identical(reloaded, original)
+
+
+class TestRowDigestsFile:
+    @pytest.fixture()
+    def saved(self, tmp_path):
+        original = relation_from_chunks(
+            ["a", "b", "c"],
+            [[(i % 5, f"s{i % 7}", i * 0.5) for i in range(60)]],
+        )
+        path = tmp_path / "snap"
+        save_snapshot(original, path)
+        return original, path
+
+    @staticmethod
+    def count_digested_rows(monkeypatch) -> list[int]:
+        import repro.relations.relation as relation_module
+
+        calls: list[int] = []
+        original = relation_module._digest_rows
+
+        def counting(rows):
+            rows = list(rows)
+            calls.append(len(rows))
+            return original(rows)
+
+        monkeypatch.setattr(relation_module, "_digest_rows", counting)
+        return calls
+
+    def test_adopted_on_reload(self, saved, monkeypatch):
+        original, path = saved
+        stored = np.load(path / DIGESTS_FILE)
+        assert stored.dtype == DIGEST_DTYPE and stored.shape == (60,)
+        calls = self.count_digested_rows(monkeypatch)
+        reloaded = load_snapshot(path)
+        assert reloaded._row_digests().tobytes() == original._row_digests().tobytes()
+        assert sum(calls) == 0
+
+    @pytest.mark.parametrize("damage", ["flipped_byte", "unsorted", "short"])
+    def test_damaged_file_ignored(self, saved, monkeypatch, damage):
+        original, path = saved
+        digests = np.load(path / DIGESTS_FILE)
+        if damage == "flipped_byte":
+            raw = bytearray(digests.tobytes())
+            raw[-1] ^= 0x01  # keeps the order; breaks the hash
+            digests = np.frombuffer(bytes(raw), dtype=DIGEST_DTYPE)
+        elif damage == "unsorted":
+            digests = digests[::-1]
+        else:
+            digests = digests[:-1]
+        np.save(path / DIGESTS_FILE, digests)
+        calls = self.count_digested_rows(monkeypatch)
+        reloaded = load_snapshot(path)
+        assert reloaded._row_digests().tobytes() == original._row_digests().tobytes()
+        assert sum(calls) == 60  # recomputed from the rows
+        reloaded._fingerprint = None
+        assert reloaded.fingerprint() == original.fingerprint()
+
+    def test_snapshot_without_digests_still_loads(self, saved):
+        original, path = saved
+        (path / DIGESTS_FILE).unlink()
+        reloaded = load_snapshot(path)
+        assert reloaded._row_digests().tobytes() == original._row_digests().tobytes()
+
+    def test_append_to_reloaded_version_digests_only_delta(self, saved, monkeypatch):
+        original, path = saved
+        reloaded = load_snapshot(path, domains=True)
+        calls = self.count_digested_rows(monkeypatch)
+        appended = reloaded.extended_with([(9, "new", 0.25), (0, "s0", 0.0)])
+        fingerprint = appended.fingerprint()
+        assert calls == [1]  # (0, "s0", 0.0) is already a row
+        monkeypatch.undo()
+        assert fingerprint == Relation(
+            appended.schema, appended.rows(), validate=False
+        ).fingerprint()
 
 
 class TestCorruptionRejection:

@@ -18,6 +18,7 @@ Covers the PR's three contracts end to end:
   404 ``unknown_route``, and the client maps codes to typed exceptions.
 """
 
+import hashlib
 import json
 import urllib.error
 import urllib.request
@@ -35,7 +36,8 @@ from repro.errors import (
     UnknownDatasetError,
     UnknownJobError,
 )
-from repro.relations.io import infer_integer_domains, read_csv
+from repro.relations.builder import ColumnStoreBuilder
+from repro.relations.io import _coerce, infer_integer_domains, read_csv
 from repro.relations.relation import Relation
 from repro.relations.schema import RelationSchema
 from repro.service import Service, ServiceClient, ServiceConfig
@@ -114,6 +116,148 @@ class TestAppendFingerprintProperty:
         expected = Relation(schema, [(1,), (True,), (1.0,), (2,)], validate=False)
         assert extended.fingerprint() == expected.fingerprint()
         assert len(extended) == 2
+
+
+# ----------------------------------------------------------------------
+# The incremental fingerprint: each version's sorted row-digest array
+# ----------------------------------------------------------------------
+#: Values a relation built in code may hold: ``1 == True == 1.0``
+#: collide under set semantics, NaN is unequal to itself.
+_CODE_VALUES = st.one_of(
+    st.integers(0, 4),
+    st.sampled_from(["x", "a,b", 'say "hi"', True, 1.0, float("nan")]),
+)
+#: CSV cell spellings: NaN and number spellings that coerce to colliding
+#: values, a bool-like string, empty fields, commas and quotes.
+_CSV_TOKENS = st.sampled_from(
+    ["nan", "NaN", "1", "1.0", "01", "2", "True", "", "x", "a,b", 'say "hi"']
+)
+
+
+@st.composite
+def chunked_cells(draw, cells):
+    """A random table of ``cells`` cut into a non-empty base plus appends."""
+    arity = draw(st.integers(min_value=1, max_value=3))
+    rows = draw(st.lists(st.tuples(*[cells] * arity), min_size=1, max_size=24))
+    cuts = sorted(draw(st.lists(st.integers(1, len(rows)), max_size=4)))
+    bounds = [0] + cuts + [len(rows)]
+    names = [f"c{i}" for i in range(arity)]
+    return names, [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def python_digests(relation) -> bytes:
+    """The fingerprint's digest bytes, the way a plain loop computes them."""
+    return b"".join(
+        sorted(
+            hashlib.blake2b(repr(row).encode("utf-8"), digest_size=16).digest()
+            for row in relation.rows()
+        )
+    )
+
+
+def digest_counter(monkeypatch) -> list[int]:
+    """Record how many rows each call of the row-digest helper hashes."""
+    import repro.relations.relation as relation_module
+
+    calls: list[int] = []
+    original = relation_module._digest_rows
+
+    def counting(rows):
+        rows = list(rows)
+        calls.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(relation_module, "_digest_rows", counting)
+    return calls
+
+
+class TestIncrementalFingerprint:
+    @given(data=chunked_cells(_CODE_VALUES))
+    @settings(max_examples=60, deadline=None)
+    def test_decoded_base_any_split(self, data):
+        names, chunks = data
+        schema = RelationSchema.from_names(names)
+        relation = infer_integer_domains(
+            Relation(schema, chunks[0], validate=False)
+        )
+        relation.fingerprint()
+        for chunk in chunks[1:]:
+            relation = infer_integer_domains(relation.extended_with(chunk))
+        # Read the cached array before anything decodes the rows.
+        digests = relation._row_digests().tobytes()
+        assert digests == python_digests(relation)
+        assert (
+            relation.fingerprint()
+            == Relation(schema, relation.rows(), validate=False).fingerprint()
+        )
+
+    @given(data=chunked_cells(_CSV_TOKENS))
+    @settings(max_examples=60, deadline=None)
+    def test_csv_loaded_base_any_split(self, data):
+        names, chunks = data
+        schema = RelationSchema.from_names(names)
+
+        def ingest(token_rows):
+            # What Relation.from_csv_stream does with a file's tokens.
+            builder = ColumnStoreBuilder(len(names))
+            builder.add_tokens(token_rows)
+            return infer_integer_domains(builder.finish(schema))
+
+        relation = ingest(chunks[0])
+        relation.fingerprint()
+        for chunk in chunks[1:]:
+            # Delta rows are coerced cell by cell, like an append body.
+            delta = [tuple(map(_coerce, row)) for row in chunk]
+            relation = infer_integer_domains(relation.extended_with(delta))
+            assert relation._row_cache is None
+            assert relation._digests is not None  # merged, not recomputed
+        digests = relation._row_digests().tobytes()
+        scratch = ingest([row for chunk in chunks for row in chunk])
+        assert relation.fingerprint() == scratch.fingerprint()
+        assert digests == python_digests(relation)
+
+    def test_append_digests_only_new_rows(self, monkeypatch):
+        builder = ColumnStoreBuilder(2)
+        builder.add_tokens([[str(i), f"v{i % 5}"] for i in range(40)])
+        base = builder.finish(RelationSchema.from_names(["a", "b"]))
+        base.fingerprint()
+        calls = digest_counter(monkeypatch)
+        # Two new rows, one repeated row, one row the base already holds.
+        appended = base.extended_with([(40, "v0"), (41, "v9"), (40, "v0"), (3, "v3")])
+        fingerprint = appended.fingerprint()
+        assert calls == [2]
+        assert len(appended) == 42
+        assert fingerprint == Relation(
+            appended.schema, appended.rows(), validate=False
+        ).fingerprint()
+
+    def test_pinned_fingerprints(self):
+        # Values computed by the from-scratch per-row hashing loop the
+        # digest array replaced; the hex must never change.
+        schema = RelationSchema.from_names(["A", "B", "C"])
+        rows = [
+            (1, "x", 2.5),
+            (2, "a,b", float("nan")),
+            (3, 'say "hi"', None),
+            (True, "", -0.0),
+        ]
+        assert (
+            Relation(schema, rows).fingerprint()
+            == "7f932a956bd22639664434bab5ee6dcd"
+        )
+        builder = ColumnStoreBuilder(3)
+        builder.add_tokens(
+            [
+                ["1", "x", "2.5"],
+                ["01", "a,b", "NaN"],
+                ["1.0", 'say "hi"', ""],
+                ["True", "", "nan"],
+            ]
+        )
+        assert (
+            builder.finish(schema).fingerprint()
+            == "367bafc1cfcf8abbe51876235b0b8cb9"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -196,6 +340,16 @@ class TestRegistryAppend:
         writer.writerows(relation.sorted_rows())  # the set-ordered rows
         assert spilled.read_bytes() == expected.getvalue().encode("utf-8")
 
+
+    def test_resident_versions_keep_no_decoded_row_list(self, tmp_path):
+        # Neither the fingerprint nor the CSV spill caches N decoded row
+        # tuples on a resident version's store.
+        registry = self.registry(tmp_path)
+        entry, _ = registry.register_text(BASE_CSV, name="t")
+        assert entry.relation.columns()._row_list is None
+        entry2, _ = registry.append_rows(entry.fingerprint, DELTA_ROWS)
+        assert entry2.relation._row_cache is None
+        assert entry2.relation.columns()._row_list is None
 
     def test_superseded_fingerprint_reloads_evicted_live_version(
         self, tmp_path
