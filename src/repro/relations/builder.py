@@ -118,10 +118,13 @@ class ColumnStoreBuilder:
         result equals a from-scratch ingest of the concatenated rows.
 
         Encoders are rebuilt from dense per-column ``code → value``
-        decoders (:func:`repro.relations.persist._derive_decoders`):
-        identity-coded columns admit code gaps, and a gap at code ``c``
-        decodes to ``int(c)`` — so the derived encoder maps that value
-        back to ``c``, keeping the mapping a bijection.
+        decoders (:func:`repro.relations.persist._derive_decoders`) and
+        hold only the values some row takes.  Identity-coded columns
+        admit code gaps, and a gap at code ``c`` decodes to ``int(c)``;
+        left out of the encoder, it cannot capture an appended value
+        equal to it (``1.0`` for a gap at ``1``), which instead takes a
+        new code and keeps its own spelling, as in a from-scratch ingest.
+        ``finish()`` drops the gap codes again.
         """
         from repro.relations.persist import _derive_decoders
 
@@ -130,8 +133,13 @@ class ColumnStoreBuilder:
         builder = cls(arity)
         builder._decoders = [list(d) for d in _derive_decoders(relation)]
         builder._encoders = [
-            {value: code for code, value in enumerate(decoder)}
-            for decoder in builder._decoders
+            {
+                decoder[code]: code
+                for code in np.flatnonzero(
+                    np.bincount(store.codes[j], minlength=len(decoder))
+                ).tolist()
+            }
+            for j, decoder in enumerate(builder._decoders)
         ]
         if store.n_rows:
             builder._distinct = np.stack(
@@ -158,7 +166,7 @@ class ColumnStoreBuilder:
         """Distinct values seen per column so far."""
         return tuple(len(d) for d in self._decoders)
 
-    def decoded_rows(self, start: int = 0) -> list[tuple]:
+    def decoded_rows(self, start: int) -> list[tuple]:
         """The retained distinct rows from position ``start`` on, decoded.
 
         Retained rows keep their arrival order, so after

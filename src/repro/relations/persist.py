@@ -120,6 +120,14 @@ def atomic_write_text(path: Path, text: str) -> None:
     tmp.replace(path)
 
 
+def _fsync_file(path: Path) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def _fsync_dir(path: Path) -> None:
     try:
         fd = os.open(path, os.O_RDONLY)
@@ -520,9 +528,12 @@ def _assemble(
     expected_fingerprint: str | None,
     domains: bool,
     lazy: bool = False,
-    digests: np.ndarray | None = None,
+    digests=None,
 ):
     """Build a Relation from coded columns + decoders (shared save/load).
+
+    ``digests`` (the sorted row-digest array, or a loader returning it)
+    is handed to the relation as is.
 
     ``lazy=True`` skips decoding the Python row tuples entirely — the
     relation carries only its coded store, and

@@ -76,7 +76,7 @@ def fingerprint_from_digests(names: Sequence[str], digests: np.ndarray) -> str:
         ).digest()
     )
     combined.update(len(digests).to_bytes(8, "big"))
-    combined.update(np.ascontiguousarray(digests))
+    combined.update(digests)
     return combined.hexdigest()
 
 

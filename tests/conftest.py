@@ -44,3 +44,24 @@ def mvd_tree():
 def chain_tree():
     """A three-bag chain over A, B, C, D."""
     return jointree_from_schema([{"A", "B"}, {"B", "C"}, {"C", "D"}])
+
+
+@pytest.fixture()
+def digested_rows(monkeypatch):
+    """Row counts hashed by each call of the relation's row-digest helper.
+
+    Counting starts when the fixture is set up, so request it after the
+    fixtures whose own hashing should not count.
+    """
+    import repro.relations.relation as relation_module
+
+    calls: list[int] = []
+    original = relation_module._digest_rows
+
+    def counting(rows):
+        rows = list(rows)
+        calls.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(relation_module, "_digest_rows", counting)
+    return calls

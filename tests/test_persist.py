@@ -272,32 +272,16 @@ class TestRowDigestsFile:
         save_snapshot(original, path)
         return original, path
 
-    @staticmethod
-    def count_digested_rows(monkeypatch) -> list[int]:
-        import repro.relations.relation as relation_module
-
-        calls: list[int] = []
-        original = relation_module._digest_rows
-
-        def counting(rows):
-            rows = list(rows)
-            calls.append(len(rows))
-            return original(rows)
-
-        monkeypatch.setattr(relation_module, "_digest_rows", counting)
-        return calls
-
-    def test_adopted_on_reload(self, saved, monkeypatch):
+    def test_adopted_on_reload(self, saved, digested_rows):
         original, path = saved
         stored = np.load(path / DIGESTS_FILE)
         assert stored.dtype == DIGEST_DTYPE and stored.shape == (60,)
-        calls = self.count_digested_rows(monkeypatch)
         reloaded = load_snapshot(path)
         assert reloaded._row_digests().tobytes() == original._row_digests().tobytes()
-        assert sum(calls) == 0
+        assert sum(digested_rows) == 0
 
     @pytest.mark.parametrize("damage", ["flipped_byte", "unsorted", "short"])
-    def test_damaged_file_ignored(self, saved, monkeypatch, damage):
+    def test_damaged_file_ignored(self, saved, digested_rows, damage):
         original, path = saved
         digests = np.load(path / DIGESTS_FILE)
         if damage == "flipped_byte":
@@ -309,10 +293,9 @@ class TestRowDigestsFile:
         else:
             digests = digests[:-1]
         np.save(path / DIGESTS_FILE, digests)
-        calls = self.count_digested_rows(monkeypatch)
         reloaded = load_snapshot(path)
         assert reloaded._row_digests().tobytes() == original._row_digests().tobytes()
-        assert sum(calls) == 60  # recomputed from the rows
+        assert sum(digested_rows) == 60  # recomputed from the rows
         reloaded._fingerprint = None
         assert reloaded.fingerprint() == original.fingerprint()
 
@@ -322,14 +305,14 @@ class TestRowDigestsFile:
         reloaded = load_snapshot(path)
         assert reloaded._row_digests().tobytes() == original._row_digests().tobytes()
 
-    def test_append_to_reloaded_version_digests_only_delta(self, saved, monkeypatch):
+    def test_append_to_reloaded_version_digests_only_delta(
+        self, saved, digested_rows
+    ):
         original, path = saved
         reloaded = load_snapshot(path, domains=True)
-        calls = self.count_digested_rows(monkeypatch)
         appended = reloaded.extended_with([(9, "new", 0.25), (0, "s0", 0.0)])
         fingerprint = appended.fingerprint()
-        assert calls == [1]  # (0, "s0", 0.0) is already a row
-        monkeypatch.undo()
+        assert digested_rows == [1]  # (0, "s0", 0.0) is already a row
         assert fingerprint == Relation(
             appended.schema, appended.rows(), validate=False
         ).fingerprint()

@@ -107,6 +107,16 @@ class TestAppendFingerprintProperty:
         assert base.fingerprint() == before
         assert len(base) == 2 and len(extended) == 3
 
+    def test_value_equal_to_an_identity_code_gap_keeps_its_spelling(self):
+        # The base codes column a by identity, so codes 0 and 1 are
+        # gaps; an appended 1.0 must not decode as the gap's int 1.
+        schema = RelationSchema.from_names(["a"])
+        base = Relation(schema, [(2,)], validate=False)
+        extended = base.extended_with([(1.0,)])
+        expected = Relation(schema, [(2,), (1.0,)], validate=False)
+        assert extended.fingerprint() == expected.fingerprint()
+        assert sorted(map(repr, extended.rows())) == ["(1.0,)", "(2,)"]
+
     def test_hash_equal_values_collapse_like_ingest(self):
         # 1 == True == 1.0 under set semantics; the append path must
         # dedup them exactly as a from-scratch Relation would.
@@ -155,22 +165,6 @@ def python_digests(relation) -> bytes:
     )
 
 
-def digest_counter(monkeypatch) -> list[int]:
-    """Record how many rows each call of the row-digest helper hashes."""
-    import repro.relations.relation as relation_module
-
-    calls: list[int] = []
-    original = relation_module._digest_rows
-
-    def counting(rows):
-        rows = list(rows)
-        calls.append(len(rows))
-        return original(rows)
-
-    monkeypatch.setattr(relation_module, "_digest_rows", counting)
-    return calls
-
-
 class TestIncrementalFingerprint:
     @given(data=chunked_cells(_CODE_VALUES))
     @settings(max_examples=60, deadline=None)
@@ -216,16 +210,16 @@ class TestIncrementalFingerprint:
         assert relation.fingerprint() == scratch.fingerprint()
         assert digests == python_digests(relation)
 
-    def test_append_digests_only_new_rows(self, monkeypatch):
+    def test_append_digests_only_new_rows(self, digested_rows):
         builder = ColumnStoreBuilder(2)
         builder.add_tokens([[str(i), f"v{i % 5}"] for i in range(40)])
         base = builder.finish(RelationSchema.from_names(["a", "b"]))
         base.fingerprint()
-        calls = digest_counter(monkeypatch)
+        digested_rows.clear()
         # Two new rows, one repeated row, one row the base already holds.
         appended = base.extended_with([(40, "v0"), (41, "v9"), (40, "v0"), (3, "v3")])
         fingerprint = appended.fingerprint()
-        assert calls == [2]
+        assert digested_rows == [2]
         assert len(appended) == 42
         assert fingerprint == Relation(
             appended.schema, appended.rows(), validate=False
