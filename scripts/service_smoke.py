@@ -10,7 +10,11 @@ What the CI ``service-smoke`` job (and ``make service-smoke``) runs:
 3. run mine → decompose → analyze via the Python client and validate
    every report against the shared CLI report schema; the uncached mine
    must cost the server at most one ``GET /v1/jobs/{id}`` (the client's
-   long poll), read from ``/v1/metrics``;
+   long poll), read from ``/v1/metrics``; each report must equal what
+   ``python -m repro.cli mine|decompose|analyze ... --json`` prints for
+   the same CSV and parameters in its own process, apart from
+   ``wall_time_s`` and ``cached`` (both front doors run one operation
+   core, :mod:`repro.factorize.operations`);
 4. repeat the identical mine request and assert it is served **from the
    cache** (``cached: true``, bit-identical report, hit-rate > 0);
 5. check ``/healthz`` and ``/stats`` shapes;
@@ -155,6 +159,18 @@ def main() -> int:
             validate_report(analyze)
             print("[smoke] analyze ok")
 
+            csv_arg = str(csv_path)
+            for name, service_report, argv in (
+                ("mine", cold["result"],
+                 ["mine", csv_arg, "--strategy", "beam", "--json"]),
+                ("decompose", decompose,
+                 ["decompose", csv_arg, "--strategy", "beam"]),
+                ("analyze", analyze,
+                 ["analyze", csv_arg, "--schema", "A,C;B,C", "--json"]),
+            ):
+                assert_same_report(service_report, cli_report(argv), name)
+            print("[smoke] service reports equal the CLI's (mine, decompose, analyze)")
+
             warm = client.run(fp, "mine", {"strategy": "beam"})
             assert warm["state"] == "done" and warm["cached"] is True, warm
             clean = dict(warm["result"])
@@ -237,6 +253,31 @@ def main() -> int:
     cluster_phase(csv_path)
     print("[smoke] service smoke ok")
     return 0
+
+
+def cli_report(argv: list[str]) -> dict:
+    """The JSON report ``python -m repro.cli <argv>`` prints."""
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.cli", *argv],
+        cwd=REPO_ROOT,
+        env={"PYTHONPATH": str(SRC_PATH), "PATH": "/usr/bin:/bin"},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, f"repro-ajd {argv} failed: {done.stderr}"
+    return json.loads(done.stdout)
+
+
+def assert_same_report(service: dict, cli: dict, what: str) -> None:
+    """A service report equals the CLI's but for timing and cache flags."""
+    ignored = ("wall_time_s", "cached")
+    service = {k: v for k, v in service.items() if k not in ignored}
+    cli = {k: v for k, v in cli.items() if k not in ignored}
+    assert service == cli, (
+        f"{what}: service report differs from the CLI's: "
+        f"{service} != {cli}"
+    )
 
 
 def route_requests(client: ServiceClient, method: str, route: str) -> float:

@@ -6,7 +6,8 @@ Installed as ``repro-ajd`` (see pyproject).  Subcommands:
   CSV table under a user-supplied acyclic schema;
 * ``mine <csv> [--threshold T] [--strategy S] [--deadline SEC]
   [--json]`` — discover a low-J acyclic schema with any registered
-  strategy, optionally within a wall-clock budget;
+  strategy, optionally within a wall-clock budget (a search the budget
+  cuts off reports its best-so-far schema, marked ``"partial": true``);
 * ``decompose <csv> [--strategy S | --schema ...] [--out-dir DIR]`` —
   mine (or take) a schema, materialize the semijoin-reduced bag
   projections, measure the decomposition, and emit a JSON report (plus
@@ -30,7 +31,11 @@ errors (unreadable/malformed input, contradictory flags).
 ``mine --json``, ``analyze --json``, and ``decompose`` share one JSON
 report core (see :mod:`repro.factorize.report`): ``command``,
 ``strategy``, ``j_measure``, ``rho``, ``wall_time_s``, ``n_rows``,
-``n_cols``.
+``n_cols``.  The three commands only load the CSV and hand their
+canonical parameters to :mod:`repro.factorize.operations`, the
+operation core the service's jobs run too, so a report equals the
+service's for the same data and parameters except ``wall_time_s``,
+which here also counts the load.
 
 All three table-consuming commands take ``--chunk-rows N`` (the most
 data rows the CSV reader holds at once) and ``--backend
@@ -51,30 +56,29 @@ import json
 import time
 from collections.abc import Sequence
 
-from repro.core.analysis import analyze
-from repro.core.evalcontext import EvalContext
-from repro.discovery.miner import mine_jointree
 from repro.discovery.strategies import available_strategies
 from repro.errors import DiscoveryError, ReproError
-from repro.factorize.pipeline import decompose, write_decomposition
-from repro.factorize.report import base_report
-from repro.info.backends import available_backends, make_backend
-from repro.info.engine import EntropyEngine
-from repro.jointrees.build import jointree_from_schema
+from repro.factorize.operations import (
+    COMMON_DEFAULTS,
+    MINING_DEFAULTS,
+    canonicalize_params,
+    mines,
+    run_operation,
+)
+from repro.factorize.operations import parse_schema as _parse_schema  # noqa: F401
+from repro.factorize.pipeline import write_decomposition
+from repro.info.backends import available_backends
 from repro.relations.io import DEFAULT_CHUNK_ROWS, infer_integer_domains
 from repro.relations.relation import Relation
 
-
-def _parse_schema(text: str) -> list[set[str]]:
-    """Parse ``"A,B;B,C"`` into ``[{"A","B"}, {"B","C"}]``."""
-    bags = []
-    for part in text.split(";"):
-        attrs = {a.strip() for a in part.split(",") if a.strip()}
-        if attrs:
-            bags.append(attrs)
-    if not bags:
-        raise ReproError(f"could not parse any schema bags from {text!r}")
-    return bags
+#: The flags ``decompose --schema`` makes moot, with their defaults: the
+#: ``add_argument(default=...)`` values and the conflict check's
+#: reference, one source of truth.
+_MINING_FLAGS: dict[str, object] = {
+    **MINING_DEFAULTS,
+    "deadline": None,
+    "backend": COMMON_DEFAULTS["backend"],
+}
 
 
 def _print_json(payload: dict) -> None:
@@ -84,44 +88,6 @@ def _print_json(payload: dict) -> None:
 def _load_csv(args: argparse.Namespace) -> Relation:
     """Load the command's CSV; ``--chunk-rows`` bounds the chunk size."""
     return Relation.from_csv_stream(args.csv, chunk_rows=args.chunk_rows)
-
-
-def _resolve_backend(args: argparse.Namespace):
-    """The run's entropy backend instance, or ``None`` for plain exact."""
-    if args.backend == "exact":
-        return None
-    return make_backend(args.backend, chunk_rows=args.chunk_rows)
-
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
-    relation = infer_integer_domains(_load_csv(args))
-    tree = jointree_from_schema(_parse_schema(args.schema))
-    backend = _resolve_backend(args)
-    context = (
-        EvalContext.for_relation(
-            relation, engine=EntropyEngine(relation, backend=backend)
-        )
-        if backend is not None
-        else None
-    )
-    report = analyze(relation, tree, delta=args.delta, context=context)
-    if args.json:
-        payload = base_report(
-            command="analyze",
-            strategy=None,
-            j_measure=report.j_entropy,
-            rho=report.rho,
-            wall_time_s=time.perf_counter() - start,
-            n_rows=report.n,
-            n_cols=report.num_attributes,
-        )
-        payload.update(report.to_dict())
-        payload["backend"] = args.backend
-        _print_json(payload)
-    else:
-        print(report.render())
-    return 0
 
 
 def _require_minable(relation: Relation, path: str) -> None:
@@ -137,41 +103,63 @@ def _require_minable(relation: Relation, path: str) -> None:
         )
 
 
-def _cmd_mine(args: argparse.Namespace) -> int:
+def _run(
+    args: argparse.Namespace, operation: str, params: dict
+) -> tuple[dict, object]:
+    """Load the CSV and run the operation core on it.
+
+    Returns the core's ``(report, result)``; the report's wall time is
+    re-measured here so that it includes the load.
+    """
     start = time.perf_counter()
-    loaded = _load_csv(args)
-    _require_minable(loaded, args.csv)
-    relation = infer_integer_domains(loaded)
-    mined = mine_jointree(
-        relation,
-        threshold=args.threshold,
-        max_separator_size=args.max_separator,
-        strategy=args.strategy,
-        deadline=args.deadline,
-        seed=args.seed,
-        backend=_resolve_backend(args),
+    canonical = canonicalize_params(
+        operation, {**params, "backend": args.backend, "chunk_rows": args.chunk_rows}
     )
-    sorted_bags = sorted((sorted(bag) for bag in mined.bags))
+    loaded = _load_csv(args)
+    if mines(operation, canonical):
+        _require_minable(loaded, args.csv)
+    relation = infer_integer_domains(loaded)
+    deadline = getattr(args, "deadline", None)
+    # Written as a negated comparison so that NaN is rejected too.
+    if deadline is not None and not deadline > 0:
+        raise DiscoveryError(f"deadline must be positive, got {deadline}")
+    payload, result = run_operation(
+        relation,
+        operation,
+        canonical,
+        deadline_at=None if deadline is None else time.monotonic() + deadline,
+    )
+    payload["wall_time_s"] = time.perf_counter() - start
+    return payload, result
+
+
+def _mining_params(args: argparse.Namespace) -> dict:
+    return {name: getattr(args, name) for name in MINING_DEFAULTS}
+
+
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    payload, report = _run(
+        args, "analyze", {"schema": args.schema, "delta": args.delta}
+    )
     if args.json:
-        payload = base_report(
-            command="mine",
-            strategy=args.strategy,
-            j_measure=mined.j_value,
-            rho=mined.rho,
-            wall_time_s=time.perf_counter() - start,
-            n_rows=len(relation),
-            n_cols=relation.schema.arity,
-        )
-        payload["bags"] = sorted_bags
-        payload["threshold"] = args.threshold
-        payload["backend"] = args.backend
+        _print_json(payload)
+    else:
+        print(report.render())
+    return 0
+
+
+def _cmd_mine(args: argparse.Namespace) -> int:
+    payload, mined = _run(args, "mine", _mining_params(args))
+    if args.json:
         _print_json(payload)
         return 0
     print(f"mined schema ({args.strategy}):")
-    for bag in sorted_bags:
+    for bag in payload["bags"]:
         print("  {" + ", ".join(bag) + "}")
     print(f"J-measure: {mined.j_value:.6g} nats")
     print(f"loss rho : {mined.rho:.6g}")
+    if payload.get("partial"):
+        print("partial  : the deadline expired; best schema found so far")
     return 0
 
 
@@ -179,7 +167,7 @@ def _require_no_mining_flags(args: argparse.Namespace) -> None:
     """``--schema`` and the mining knobs contradict each other; say so."""
     conflicting = [
         f"--{name.replace('_', '-')}"
-        for name, default in _MINING_DEFAULTS.items()
+        for name, default in _MINING_FLAGS.items()
         if getattr(args, name) != default
     ]
     if conflicting:
@@ -190,40 +178,12 @@ def _require_no_mining_flags(args: argparse.Namespace) -> None:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
-    loaded = _load_csv(args)
-    strategy: str | None = None
     if args.schema is not None:
         _require_no_mining_flags(args)
-        relation = infer_integer_domains(loaded)
-        tree = jointree_from_schema(_parse_schema(args.schema))
+        params = {"schema": args.schema}
     else:
-        _require_minable(loaded, args.csv)
-        relation = infer_integer_domains(loaded)
-        strategy = args.strategy
-        mined = mine_jointree(
-            relation,
-            threshold=args.threshold,
-            max_separator_size=args.max_separator,
-            strategy=strategy,
-            deadline=args.deadline,
-            seed=args.seed,
-            backend=_resolve_backend(args),
-        )
-        tree = mined.jointree
-    decomposition = decompose(relation, tree)
-    report = decomposition.report
-    payload = base_report(
-        command="decompose",
-        strategy=strategy,
-        j_measure=report.j_measure,
-        rho=report.rho,
-        wall_time_s=time.perf_counter() - start,
-        n_rows=report.n_rows,
-        n_cols=report.n_cols,
-    )
-    payload.update(report.to_dict())
-    payload["backend"] = args.backend
+        params = _mining_params(args)
+    payload, decomposition = _run(args, "decompose", params)
     if args.out_dir is not None:
         try:
             paths = write_decomposition(
@@ -364,19 +324,6 @@ def _cmd_version(_: argparse.Namespace) -> int:
     return 0
 
 
-#: Mining-knob defaults, shared between ``_add_mining_options`` (the
-#: ``add_argument(default=...)`` values) and ``_require_no_mining_flags``
-#: (the ``decompose --schema`` conflict check) — one source of truth.
-_MINING_DEFAULTS: dict[str, object] = {
-    "threshold": 1e-9,
-    "max_separator": 2,
-    "strategy": "recursive",
-    "deadline": None,
-    "seed": 0,
-    "backend": "exact",
-}
-
-
 def _add_ingest_options(parser: argparse.ArgumentParser) -> None:
     """CSV-ingestion knobs shared by every table-consuming command."""
     parser.add_argument(
@@ -394,7 +341,7 @@ def _add_backend_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
         choices=available_backends(),
-        default=_MINING_DEFAULTS["backend"],
+        default=_MINING_FLAGS["backend"],
         help="entropy backend: 'exact' columnar counts, or 'sketch' "
         "bounded-memory streaming estimates (CountMin/KMV with "
         "Miller-Madow correction). Sketch makes entropy-derived values "
@@ -409,32 +356,33 @@ def _add_mining_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--threshold",
         type=float,
-        default=_MINING_DEFAULTS["threshold"],
+        default=_MINING_FLAGS["threshold"],
         help="maximum CMI (nats) an accepted split may incur",
     )
     parser.add_argument(
         "--max-separator",
         type=int,
-        default=_MINING_DEFAULTS["max_separator"],
+        default=_MINING_FLAGS["max_separator"],
         help="maximum separator size searched",
     )
     parser.add_argument(
         "--strategy",
         choices=available_strategies(),
-        default=_MINING_DEFAULTS["strategy"],
+        default=_MINING_FLAGS["strategy"],
         help="search strategy (default: recursive, the classic miner)",
     )
     parser.add_argument(
         "--deadline",
         type=float,
-        default=_MINING_DEFAULTS["deadline"],
+        default=_MINING_FLAGS["deadline"],
         help="wall-clock budget in seconds; anytime-aware strategies "
-        "return their best-so-far schema when it expires",
+        "return their best-so-far schema when it expires, and the "
+        "report is then marked partial",
     )
     parser.add_argument(
         "--seed",
         type=int,
-        default=_MINING_DEFAULTS["seed"],
+        default=_MINING_FLAGS["seed"],
         help="RNG seed for randomized strategies",
     )
 

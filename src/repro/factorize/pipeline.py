@@ -196,7 +196,6 @@ def discover_and_decompose(
     threshold: float = 1e-9,
     max_separator_size: int = 2,
     deadline: float | None = None,
-    deadline_at: float | None = None,
     seed: int = 0,
     backend: "object | None" = None,
 ):
@@ -209,9 +208,9 @@ def discover_and_decompose(
 
     ``backend`` steers the *mining* phase only (as with the CLI's
     ``decompose --backend``): the materialized decomposition and its
-    report always measure with the exact engine.  ``deadline`` /
-    ``deadline_at`` bound the mining search the way
-    :func:`~repro.discovery.miner.mine_jointree` does.
+    report always measure with the exact engine.  ``deadline`` bounds
+    the mining search the way :func:`~repro.discovery.miner.mine_jointree`
+    does.
     """
     from repro.discovery.miner import mine_jointree
 
@@ -221,7 +220,6 @@ def discover_and_decompose(
         max_separator_size=max_separator_size,
         strategy=strategy,
         deadline=deadline,
-        deadline_at=deadline_at,
         seed=seed,
         backend=backend,
     )

@@ -120,14 +120,6 @@ def atomic_write_text(path: Path, text: str) -> None:
     tmp.replace(path)
 
 
-def _fsync_file(path: Path) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 def _fsync_dir(path: Path) -> None:
     try:
         fd = os.open(path, os.O_RDONLY)
@@ -240,13 +232,16 @@ def _derive_decoders(relation) -> list[list]:
 
 
 def _check_decoders_round_trip(decoders: list[list], stored: list[list]) -> None:
-    """Require every decoder value to read back with the same ``repr``.
+    """Require every decoder value to read back as itself, and apart.
 
     ``stored`` is the tagged decoders as parsed back from the metadata
     JSON.  Row digests hash ``repr(row)``, so equal value ``repr``s mean
-    the reloaded rows hash exactly as the saved ones.  O(Σ cards).
+    the reloaded rows hash exactly as the saved ones.  Two codes of one
+    column whose values save as the same tag (two distinct NaN objects)
+    would decode to one value, merging rows that a reload then rejects
+    as duplicates.  O(Σ cards).
     """
-    for decoder, tags in zip(decoders, stored):
+    for j, (decoder, tags) in enumerate(zip(decoders, stored)):
         for value, tag in zip(decoder, tags):
             try:
                 same = repr(_untag_value(tag)) == repr(value)
@@ -258,6 +253,12 @@ def _check_decoders_round_trip(decoders: list[list], stored: list[list]) -> None
                     "not round-trip through the snapshot's decoders; keep "
                     "the CSV source for this dataset"
                 )
+        if len({tuple(tag) for tag in tags}) < len(tags):
+            raise SnapshotError(
+                f"column {j} holds distinct values that save as one "
+                "decoder value (such as two NaN objects), so a reload would "
+                "merge their rows; keep the CSV source for this dataset"
+            )
 
 
 def save_snapshot(
@@ -311,7 +312,9 @@ def save_snapshot(
         meta["source"] = provenance
     if extra:
         meta["extra"] = extra
-    meta_text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
+    # Compact: ``indent`` would force json's pure-Python encoder (about
+    # 7x slower on a few hundred decoder values).
+    meta_text = json.dumps(meta, sort_keys=True) + "\n"
 
     # Fidelity gate, before anything is published.  The values a reload
     # decodes are the decoders as read back from this very text.

@@ -755,13 +755,6 @@ class Telemetry:
     def timings(self) -> StageTimings:
         return StageTimings()
 
-    def observe_stages(self, timings: StageTimings) -> None:
-        """Feed a finished timeline's spans into the stage histogram."""
-        if not self.enabled:
-            return
-        for name, seconds in timings.stages.items():
-            self.stage_latency.labels(name).observe(seconds)
-
     def emit(self, kind: str, **fields) -> None:
         """One structured log line (adds kind/proc/ts envelope fields)."""
         if not self.enabled:

@@ -1,6 +1,9 @@
 """End-to-end tests for the repro-ajd CLI."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +140,14 @@ class TestMineCommand:
         assert captured.out == ""  # no report, so no non-standard `NaN`
         assert flag.lstrip("-") in captured.err
         assert "Traceback" not in captured.err
+
+    def test_negative_seed_exits_cleanly(self, table_csv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["mine", str(table_csv), "--seed", "-1"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "seed must be a non-negative integer" in err
+        assert "Traceback" not in err
 
     def test_empty_csv_exits_cleanly(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
@@ -665,3 +676,91 @@ class TestSnapshotCommand:
                 ["snapshot", str(table_csv), str(blocker / "nested" / "snap")]
             )
         assert excinfo.value.code == 2
+
+
+PLANTED_CSV = Path(__file__).resolve().parent.parent / "examples" / "planted_mvd.csv"
+
+#: ``(operation, CLI flags, service params, backend)`` for one
+#: computation.  ``decompose --schema`` runs on the exact backend only:
+#: the CLI rejects it with any mining flag, ``--backend sketch`` included.
+PARITY_CASES = [
+    (operation, flags, params, backend)
+    for operation, flags, params in [
+        ("mine", [], {}),
+        ("mine", ["--strategy", "beam", "--threshold", "0.1"], {"strategy": "beam", "threshold": 0.1}),
+        ("analyze", ["--schema", "B,C;C,A"], {"schema": "B,C;C,A"}),
+        ("analyze", ["--schema", "A,C;B,C", "--delta", "0.05"], {"schema": "A,C;B,C", "delta": 0.05}),
+        ("decompose", [], {}),
+        ("decompose", ["--strategy", "anytime", "--seed", "3"], {"strategy": "anytime", "seed": 3}),
+    ]
+    for backend in ("exact", "sketch")
+] + [("decompose", ["--schema", "C,B;A,C"], {"schema": "C,B;A,C"}, "exact")]
+
+
+class TestOneOperationCore:
+    """The CLI and the service run one compute path and agree on reports."""
+
+    @pytest.fixture(scope="class")
+    def service_relation(self):
+        from repro.service.registry import DatasetRegistry
+
+        registry = DatasetRegistry()
+        entry, _ = registry.register_path(PLANTED_CSV)
+        return registry.relation(entry.fingerprint)
+
+    @pytest.mark.parametrize(
+        "operation,flags,params,backend",
+        PARITY_CASES,
+        ids=[f"{case[0]}-{i}-{case[3]}" for i, case in enumerate(PARITY_CASES)],
+    )
+    def test_cli_json_equals_service_report(
+        self, operation, flags, params, backend, service_relation, capsys
+    ):
+        from repro.service.operations import canonicalize_params, run_operation
+
+        argv = [operation, str(PLANTED_CSV), *flags, "--backend", backend]
+        if operation != "decompose":
+            argv.append("--json")
+        assert main(argv) == 0
+        cli = json.loads(capsys.readouterr().out)
+        service = run_operation(
+            service_relation,
+            operation,
+            canonicalize_params(operation, {**params, "backend": backend}),
+        )
+        for report in (cli, service):
+            validate_report(report)
+            report.pop("wall_time_s")
+        assert cli == service
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mine", str(PLANTED_CSV), "--deadline", "1e-9", "--json"],
+            ["decompose", str(PLANTED_CSV), "--deadline", "1e-9"],
+        ],
+        ids=["mine", "decompose"],
+    )
+    def test_expired_deadline_marks_report_partial(self, argv, capsys):
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        validate_report(report)
+        assert report["partial"] is True
+
+    def test_canonical_params_do_not_import_the_cli(self):
+        code = (
+            "import sys\n"
+            "from repro.service.operations import canonicalize_params\n"
+            "canonical = canonicalize_params('analyze', {'schema': 'A,C;B,C'})\n"
+            "assert canonical['schema'] == 'A,C;B,C', canonical\n"
+            "print('repro.cli' in sys.modules)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"

@@ -77,6 +77,16 @@ class TestRoundTrip:
         save_snapshot(original, tmp_path / "snap")
         assert_identical(load_snapshot(tmp_path / "snap"), original)
 
+    def test_metadata_is_compact_and_indented_metadata_loads(self, tmp_path):
+        original = make_relation([(1, "a"), (2.5, "b"), (None, "c")])
+        save_snapshot(original, tmp_path / "snap")
+        meta_path = tmp_path / "snap" / META_FILE
+        text = meta_path.read_text()
+        assert text.count("\n") == 1 and text.endswith("}\n")
+        # Snapshots written before the compact format indent meta.json.
+        meta_path.write_text(json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n")
+        assert_identical(load_snapshot(tmp_path / "snap"), original)
+
     def test_nan_and_inf_round_trip(self, tmp_path):
         nan = float("nan")
         original = make_relation(
@@ -244,6 +254,30 @@ class TestFidelityGate:
         with pytest.raises(SnapshotError):
             save_snapshot(original, tmp_path / "snap")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("built", ["builder", "rows"])
+    def test_two_nan_objects_in_one_column_rejected(self, built, tmp_path):
+        # Two distinct NaN objects are two codes with equal reprs; both
+        # save as the tag ["f", "nan"] and would reload as one value,
+        # making the two rows duplicates the loader refuses.
+        rows = [(float("nan"), "x"), (float("nan"), "x")]
+        original = (
+            relation_from_chunks(["a", "b"], [rows])
+            if built == "builder"
+            else make_relation(rows, ["a", "b"])
+        )
+        assert len(original) == 2
+        with pytest.raises(SnapshotError, match="merge"):
+            save_snapshot(original, tmp_path / "snap")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_one_nan_object_per_column_still_saves(self, tmp_path):
+        nan = float("nan")
+        original = relation_from_chunks(["a", "b"], [[(nan, "x"), (nan, "y")]])
+        save_snapshot(original, tmp_path / "snap")
+        reloaded = load_snapshot(tmp_path / "snap")
+        assert len(reloaded.rows()) == 2
+        assert reloaded.fingerprint() == original.fingerprint()
 
     def test_undecoded_relation_saves_without_rebuild(self, tmp_path, monkeypatch):
         original = relation_from_chunks(
