@@ -198,9 +198,9 @@ def classwise_decomposition(
     def class_reductions(attrs: set[str]) -> tuple[np.ndarray, np.ndarray]:
         """Per-class ``Σ c·log c`` and distinct count of ``attrs ∪ {C}``."""
         positions = schema.indices(schema.canonical_order(attrs | {condition}))
-        group = store.groups(positions)
-        classes_of_group = condition_group.gids[group.first_index]
-        counts = group.counts.astype(np.float64)
+        cells = store.cells(positions)
+        classes_of_group = condition_group.gids[cells.first_index]
+        counts = cells.counts.astype(np.float64)
         entropy_sums = np.bincount(
             classes_of_group, weights=counts * np.log(counts), minlength=n_classes
         )

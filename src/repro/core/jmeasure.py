@@ -80,16 +80,17 @@ def j_measure_kl(
 
     For the empirical distribution, ``P^T(x)`` is a product of bag
     marginals over separator marginals, and every marginal probability of
-    a support tuple is a projection multiplicity over ``N``.  So the KL
-    sum vectorizes completely: one cached
-    :class:`~repro.relations.columns.GroupIndex` per bag/separator maps
-    each row to the log of its group count, and
+    a support tuple is a projection multiplicity over ``N``.  Summing
+    ``−log P^T(x)`` over the ``N`` rows groups by factor: a factor whose
+    cells have counts ``c`` contributes ``Σ c·log c``.  So, over each
+    bag's and separator's cached
+    :class:`~repro.relations.columns.CellRecord`,
 
-        ``D_KL(P‖P^T) = (k − 1)·log N − mean_x Σ_factors ±log c(x)``
+        ``D_KL(P‖P^T) = (k − 1)·log N − Σ_factors ±(Σ c·log c) / N``
 
     where ``k`` is the number of bag factors minus separator factors.
-    Linear in ``|R|`` with no per-tuple Python work; evaluated only on
-    ``P``'s support, so it never materializes the join.  The pre-engine
+    Costs ``O(groups)`` per factor once the cells exist, with no per-row
+    or per-tuple work, and never materializes the join.  The pre-engine
     dict-based path survives as
     :func:`repro.core.legacy.j_measure_kl_legacy`, pinned by the
     equivalence suite.
@@ -102,20 +103,24 @@ def j_measure_kl(
     schema = relation.schema
     store = relation.columns()
     n = len(relation)
-    log_counts = np.zeros(n, dtype=np.float64)
+
+    def c_log_c(attributes) -> float:
+        positions = schema.indices(schema.canonical_order(attributes))
+        counts = store.cells(positions).counts.astype(np.float64)
+        # Not ``counts @ np.log(counts)``: past ~10k cells the BLAS dot
+        # wakes threads that then spin, burning a second core per call.
+        return float((counts * np.log(counts)).sum())
+
+    weighted = 0.0
     factor_balance = 0
     for node in jointree.node_ids():
-        positions = schema.indices(schema.canonical_order(jointree.bag(node)))
-        group = store.groups(positions)
-        log_counts += np.log(group.counts.astype(np.float64))[group.gids]
+        weighted += c_log_c(jointree.bag(node))
         factor_balance += 1
     for separator in jointree.separators():
         if separator:
-            positions = schema.indices(schema.canonical_order(separator))
-            group = store.groups(positions)
-            log_counts -= np.log(group.counts.astype(np.float64))[group.gids]
+            weighted -= c_log_c(separator)
             factor_balance -= 1
-    total = (factor_balance - 1) * math.log(n) - float(log_counts.mean())
+    total = (factor_balance - 1) * math.log(n) - weighted / n
     total = max(total, 0.0)
     if base is not None:
         total /= math.log(base)

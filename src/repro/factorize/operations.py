@@ -151,11 +151,14 @@ def canonicalize_params(operation: str, params: dict | None) -> dict:
     if operation == "analyze" and canonical["schema"] is None:
         raise ServiceError("analyze requires a 'schema' parameter")
     if operation == "decompose" and canonical["schema"] is not None:
-        # A user schema makes every mining knob moot; canonical form
-        # resets them so "schema + default knobs" and "schema alone"
-        # share a cache entry instead of conflicting (the CLI rejects
-        # the combination outright; the service ignores the moot knobs).
+        # A user schema makes every mining knob moot, and with no search
+        # nothing runs on the backend either (materializing is exact);
+        # canonical form resets them all so "schema + knobs" and "schema
+        # alone" share a cache entry instead of conflicting (the CLI
+        # rejects the combination outright; the service ignores the moot
+        # knobs).
         canonical.update(MINING_DEFAULTS)
+        canonical.update(COMMON_DEFAULTS)
     return canonical
 
 

@@ -21,7 +21,7 @@ from repro.relations.join import (
     natural_join_all,
     split_join_size,
 )
-from repro.relations.columns import ColumnStore, GroupIndex
+from repro.relations.columns import CellRecord, ColumnStore, GroupIndex
 from repro.relations.io import infer_integer_domains, read_csv, write_csv
 from repro.relations.persist import (
     atomic_write_text,
@@ -45,6 +45,7 @@ from repro.relations.yannakakis import (
 
 __all__ = [
     "Attribute",
+    "CellRecord",
     "ColumnStore",
     "ColumnStoreBuilder",
     "CsvChunk",

@@ -26,16 +26,17 @@ column cardinalities) against :func:`_dense_limit`:
 * **counts, radix ≤ limit** — :func:`numpy.bincount` over the packed key;
 * **counts, radix > limit** — :func:`numpy.sort` of the packed key and the
   run lengths between value changes; no permutation is built;
-* **groups** (ids and representatives, any radix) — one default
-  (unstable) :func:`numpy.argsort`; group ids scatter back through the
-  permutation and each group's first occurrence is the minimum of its
-  run of row indices.
+* **cells and groups** (representatives, any radix) — one default
+  (unstable) :func:`numpy.argsort`; each group's first occurrence is the
+  minimum of its run of row indices, and :meth:`ColumnStore.groups` also
+  scatters group ids back through the permutation.
 
 No path runs a stable sort, and every path yields its groups in sorted
-packed-key order, so all of them agree bit-for-bit.  Results are cached
-per attribute-position subset, with one count array per subset: the
-counts-only cache and the :class:`GroupIndex` cache (used by projection,
-selection, and join-size message passing) share it.
+packed-key order, so all of them agree bit-for-bit.  The only per-subset
+cache is the :class:`CellRecord` — each group's first-occurrence row and
+count, ``O(groups)`` and not ``O(N)`` — which projection and the join-size
+message passing read; counts and per-row group ids are computed on each
+call (the entropy engine memoizes what it derives from counts).
 """
 
 from __future__ import annotations
@@ -86,11 +87,28 @@ class GroupIndex(NamedTuple):
         ``int64[G]`` — for each group, the index (into the store's row
         list) of its first occurrence; used to decode representative rows.
     counts:
-        ``int64[G]`` — multiplicity of each group; read-only, and the
-        same array :meth:`ColumnStore.counts` returns for the subset.
+        ``int64[G]`` — multiplicity of each group.
     """
 
     gids: np.ndarray
+    first_index: np.ndarray
+    counts: np.ndarray
+
+
+class CellRecord(NamedTuple):
+    """The present cells of one attribute-position subset (cached, read-only).
+
+    Both arrays follow sorted packed-key order and are ``int32`` when the
+    store has fewer than ``2^31`` rows (``int64`` otherwise).
+
+    Attributes
+    ----------
+    first_index:
+        ``[G]`` — each cell's first-occurrence row: its representative.
+    counts:
+        ``[G]`` — each cell's multiplicity.
+    """
+
     first_index: np.ndarray
     counts: np.ndarray
 
@@ -159,13 +177,13 @@ def _encode_column(
 
 
 class ColumnStore:
-    """Integer-coded columns plus per-subset grouping caches.
+    """Integer-coded columns plus a per-subset :class:`CellRecord` cache.
 
     Seeded from coded columns by the CSV builder and the snapshot loader
     (rows then decode only on demand), or factorized lazily (and exactly
     once) from the rows of a relation built in code by
     :meth:`repro.relations.relation.Relation.columns`; immutable
-    thereafter, like the relation itself, so cached groupings never need
+    thereafter, like the relation itself, so cached cells never need
     invalidation.
     """
 
@@ -173,10 +191,9 @@ class ColumnStore:
         "cards",
         "codes",
         "n_rows",
-        "_counts",
+        "_cells",
         "_decoders",
         "_encoders",
-        "_groups",
         "_row_list",
     )
 
@@ -198,8 +215,7 @@ class ColumnStore:
         self._encoders: list[dict | None] = [
             d if isinstance(d, dict) else None for d in decoders
         ]
-        self._groups: dict[tuple[int, ...], GroupIndex] = {}
-        self._counts: dict[tuple[int, ...], np.ndarray] = {}
+        self._cells: dict[tuple[int, ...], CellRecord] = {}
 
     @classmethod
     def from_identity_codes(
@@ -218,8 +234,7 @@ class ColumnStore:
         store.cards = tuple(int(c) for c in cards)
         store._decoders = [None] * len(store.codes)
         store._encoders = [None] * len(store.codes)
-        store._groups = {}
-        store._counts = {}
+        store._cells = {}
         return store
 
     @classmethod
@@ -251,8 +266,7 @@ class ColumnStore:
         store.cards = tuple(int(c) for c in cards)
         store._decoders = list(decoders)
         store._encoders = [None] * len(store.codes)
-        store._groups = {}
-        store._counts = {}
+        store._cells = {}
         return store
 
     @property
@@ -324,15 +338,25 @@ class ColumnStore:
             self._encoders[position] = encoder
         return encoder
 
-    def packed_key(self, positions: Sequence[int]) -> np.ndarray:
+    def packed_key(
+        self, positions: Sequence[int], rows: np.ndarray | None = None
+    ) -> np.ndarray:
         """Mixed-radix pack of the code columns at ``positions``.
 
         Two rows get equal keys iff they agree on all the positions.  The
         running radix is kept below ``2^62`` by re-compressing the partial
         key with :func:`numpy.unique` whenever the next column would
         overflow, so the packing is exact for any ``N`` and cardinalities.
+        ``rows`` packs only those rows, in that order; a re-compression
+        then numbers the keys among them alone, so keys to be compared
+        must come from one call.
         """
-        key = self.codes[positions[0]]
+        codes = self.codes
+
+        def column(position: int) -> np.ndarray:
+            return codes[position] if rows is None else codes[position][rows]
+
+        key = column(positions[0])
         radix = max(self.cards[positions[0]], 1)
         for position in positions[1:]:
             card = self.cards[position]
@@ -341,69 +365,79 @@ class ColumnStore:
             if radix * card >= _MAX_PACK:
                 uniques, key = np.unique(key, return_inverse=True)
                 radix = max(len(uniques), 1)
-            key = key * card + self.codes[position]
+            key = key * card + column(position)
             radix *= card
         return key
 
+    def dense_radix(self, positions: Sequence[int]) -> int | None:
+        """The subset's radix when it is at most :func:`_dense_limit`, else None.
+
+        Keys of a dense subset from :meth:`packed_key` index a
+        :func:`numpy.bincount` of that length directly.
+        """
+        radix = 1
+        limit = _dense_limit(self.n_rows)
+        for position in positions:
+            radix *= max(self.cards[position], 1)
+            if radix > limit:
+                return None
+        return radix
+
     def counts(self, positions: Sequence[int]) -> np.ndarray:
-        """Group multiplicities only (the entropy hot path; cached).
+        """Group multiplicities only (the entropy hot path).
 
         A subset whose radix is at most :func:`_dense_limit` is a straight
         :func:`numpy.bincount` over the packed key; a wider one sorts the
-        key and takes the run lengths, building no :class:`GroupIndex`.
-        Either way the counts follow sorted packed-key order, like
-        :meth:`groups`, and the array is the one :meth:`groups` shares.
+        key and takes the run lengths.  Either way the ``int64`` counts
+        follow sorted packed-key order, like :meth:`cells` and
+        :meth:`groups`.
         """
-        cache_key = tuple(positions)
-        cached = self._counts.get(cache_key)
-        if cached is not None:
-            return cached
+        key = self.packed_key(positions)
         n = self.n_rows
-        radix = 1
-        limit = _dense_limit(n)
-        for position in cache_key:
-            radix *= max(self.cards[position], 1)
-            if radix > limit:
-                break
-        key = self.packed_key(cache_key)
-        if n and radix <= limit:
+        if n and self.dense_radix(positions) is not None:
             counts = np.bincount(key)
-            counts = counts[counts > 0]
-        else:
-            counts = np.diff(_run_starts(np.sort(key)), append=n)
-        counts.flags.writeable = False  # shared cached array
-        self._counts[cache_key] = counts
-        return counts
+            return counts[counts > 0]
+        return np.diff(_run_starts(np.sort(key)), append=n)
 
-    def groups(self, positions: Sequence[int]) -> GroupIndex:
-        """Group rows by the attribute subset at ``positions`` (cached).
+    def cells(self, positions: Sequence[int]) -> CellRecord:
+        """Each group's first-occurrence row and count (cached per subset).
 
-        One unstable argsort of the packed key; ``counts`` is the
-        subset's shared count array (adopted from :meth:`counts` when
-        that ran first).
+        One unstable argsort of the packed key, built once per subset; the
+        record is ``O(groups)``, so the cache stays small next to the code
+        columns.
         """
         cache_key = tuple(positions)
-        cached = self._groups.get(cache_key)
+        cached = self._cells.get(cache_key)
         if cached is not None:
             return cached
         perm, starts = _argsort_runs(self.packed_key(cache_key))
         n = self.n_rows
-        counts = self._counts.get(cache_key)
-        if counts is None:
-            counts = np.diff(starts, append=n)
-            counts.flags.writeable = False  # shared cached array
-            self._counts[cache_key] = counts
+        dtype = np.int32 if n < (1 << 31) else np.int64
+        first_index = np.minimum.reduceat(perm, starts).astype(dtype)
+        counts = np.diff(starts, append=n).astype(dtype)
+        first_index.flags.writeable = False  # shared cached arrays
+        counts.flags.writeable = False
+        cached = self._cells[cache_key] = CellRecord(first_index, counts)
+        return cached
+
+    def groups(self, positions: Sequence[int]) -> GroupIndex:
+        """Group rows by the attribute subset at ``positions``.
+
+        One unstable argsort of the packed key, with per-row group ids;
+        not cached, since ``gids`` is ``O(N)``.  Callers that need only
+        representatives and counts read :meth:`cells`.
+        """
+        perm, starts = _argsort_runs(self.packed_key(positions))
+        n = self.n_rows
+        counts = np.diff(starts, append=n)
         gids = np.empty(n, dtype=np.int64)
         gids[perm] = np.repeat(np.arange(len(starts), dtype=np.int64), counts)
-        result = GroupIndex(
+        return GroupIndex(
             gids=gids,
             first_index=np.minimum.reduceat(perm, starts),
             counts=counts,
         )
-        self._groups[cache_key] = result
-        return result
 
     def clear_cache(self) -> None:
-        """Drop cached groupings (codes and encoders are kept)."""
-        self._groups.clear()
-        self._counts.clear()
+        """Drop cached cells (codes and encoders are kept)."""
+        self._cells.clear()

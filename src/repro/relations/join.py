@@ -17,7 +17,13 @@ The message-passing counter exploits the key structural fact that all
 projections come from the *same* instance ``R``: every separator value seen
 at a join-tree node also appears in its neighbor's projection, so no
 semijoin filtering is needed and a single bottom-up sweep of weighted counts
-yields ``|⋈ᵢ R[Ωᵢ]|`` exactly (Yannakakis-style count aggregation).
+yields ``|⋈ᵢ R[Ωᵢ]|`` exactly (Yannakakis-style count aggregation).  Each
+node's table lives on its bag's cached
+:class:`~repro.relations.columns.CellRecord` (one entry per distinct bag
+tuple), and separator values are packed from the codes of the cells'
+representative rows, so a call touches ``O(Σ groups)`` entries, not ``N``
+rows.  A Python-bignum dict DP takes over when an ``int64`` weight could
+overflow.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.errors import JoinTreeError, SchemaError
-from repro.relations.columns import _dense_limit
 from repro.relations.relation import Relation
 from repro.relations.schema import RelationSchema, Row
 
@@ -142,35 +147,28 @@ def split_join_size(relation: Relation, left: Iterable[str], right: Iterable[str
     """``|R[left] ⋈ R[right]|`` when both projections come from ``relation``.
 
     The two-projection join sizes of Eq. 28 are the per-split loss
-    workhorse.  Because both sides project the *same* instance, the count
-    decomposes per shared-key group: ``Σ_k aₖ·bₖ`` where ``aₖ``/``bₖ``
-    are the numbers of distinct left/right projections within key group
-    ``k``.  Both are one bincount over the relation's cached columnar
-    :class:`~repro.relations.columns.GroupIndex` objects — nothing is
-    materialized and no tuples are hashed.
-
-    With no shared attributes the join is the Cartesian product of the
-    two projection sizes.  Falls back to exact Python bignums when the
-    product bound could overflow int64.
+    workhorse: the join-tree message pass of :func:`acyclic_join_size` on
+    the two bags, over their cached cells.  Nothing is materialized and no
+    tuples are hashed.  With no shared attributes the join is the
+    Cartesian product of the two projection sizes.
     """
     schema = relation.schema
     left_order = schema.canonical_order(left)
     right_order = schema.canonical_order(right)
     if relation.is_empty():
         return 0
-    store = relation.columns()
-    left_groups = store.groups(schema.indices(left_order))
-    right_groups = store.groups(schema.indices(right_order))
-    shared = set(left_order) & set(right_order)
-    if not shared:
-        return len(left_groups.counts) * len(right_groups.counts)
-    key_groups = store.groups(schema.indices(schema.canonical_order(shared)))
-    n_keys = len(key_groups.counts)
-    a = np.bincount(key_groups.gids[left_groups.first_index], minlength=n_keys)
-    b = np.bincount(key_groups.gids[right_groups.first_index], minlength=n_keys)
-    if len(left_groups.counts) * len(right_groups.counts) < _INT64_SAFE_BOUND:
-        return int(a @ b)
-    return sum(int(x) * int(y) for x, y in zip(a.tolist(), b.tolist()))
+    shared = schema.canonical_order(set(left_order) & set(right_order))
+    size = _cell_join_size(
+        relation.columns(),
+        {0: schema.indices(left_order), 1: schema.indices(right_order)},
+        [(0, 1, schema.indices(shared))],
+    )
+    if size is not None:
+        return size
+    from repro.jointrees.jointree import JoinTree
+
+    tree = JoinTree({0: left_order, 1: right_order}, [(0, 1)], validate=False)
+    return _acyclic_join_size_python(relation, tree, (0, 1), {0: 1})
 
 
 def _rekey(counts: Counter[Row], have: tuple[str, ...], want: tuple[str, ...]) -> Counter[Row]:
@@ -217,10 +215,13 @@ def acyclic_join_size(relation: Relation, jointree) -> int:
 
     order = jointree.topological_order()  # leaves-first, root last
     parent_of = jointree.parents()
-
-    size = _acyclic_join_size_dense(relation, jointree, order, parent_of)
-    if size is None:
-        size = _acyclic_join_size_columnar(relation, jointree, order, parent_of)
+    bags = {node: _bag_positions(relation, jointree.bag(node)) for node in order}
+    edges = []
+    for node in order[:-1]:  # every non-root node sends a message up
+        parent = parent_of[node]
+        separator = jointree.bag(node) & jointree.bag(parent)
+        edges.append((node, parent, _bag_positions(relation, separator)))
+    size = _cell_join_size(relation.columns(), bags, edges)
     if size is not None:
         return size
     return _acyclic_join_size_python(relation, jointree, order, parent_of)
@@ -231,141 +232,55 @@ def _bag_positions(relation: Relation, bag) -> tuple[int, ...]:
     return schema.indices(schema.canonical_order(bag))
 
 
-def _dense_radix(store, positions) -> tuple[tuple[int, ...], int]:
-    """Per-position strides and total radix for a dense mixed-radix pack."""
-    strides = [1] * len(positions)
-    radix = 1
-    for i in range(len(positions) - 1, -1, -1):
-        strides[i] = radix
-        radix *= max(store.cards[positions[i]], 1)
-    return tuple(strides), radix
+def _cell_join_size(store, bags, edges) -> int | None:
+    """Vectorized message passing over the bags' cached cells.
 
-
-def _acyclic_join_size_dense(
-    relation: Relation, jointree, order, parent_of
-) -> int | None:
-    """Bincount-only message passing for dense integer-coded relations.
-
-    Every bag's mixed-radix keyspace is materialized as a flat weight
-    vector (no sorting ``numpy.unique`` at all); separator cells are
-    recovered from bag cells arithmetically (digit extraction), so the
-    whole DP is ``O(N + Σ radixᵢ)``.  Returns ``None`` when any bag's
-    keyspace is too large for this to pay off (the sparse columnar or
-    dict paths then take over).
+    ``bags`` maps each node to its bag's code positions; ``edges`` lists
+    ``(child, parent, separator positions)`` leaves-first, so the one node
+    never named as a child is the root.  Each node's table is an ``int64``
+    weight per bag cell.  A separator's id for a cell is its packed key at
+    the cell's representative row — used directly as a
+    :func:`numpy.bincount` index when the separator's radix is dense,
+    numbered by :func:`numpy.unique` otherwise.  Returns ``None`` when the
+    Cartesian bound ``∏|R[Ωᵢ]|`` could overflow int64 (the exact dict DP
+    then takes over).
     """
-    store = relation.columns()
-    limit = _dense_limit(store.n_rows)
-    node_ids = jointree.node_ids()
-    plans: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
-    for node in node_ids:
-        positions = _bag_positions(relation, jointree.bag(node))
-        strides, radix = _dense_radix(store, positions)
-        if radix > limit:
-            return None
-        plans[node] = (positions, strides, radix)
-
-    # Present-cell weight vectors per node, plus a conservative magnitude
-    # bound: every intermediate weight is at most ∏ᵢ |R[Ωᵢ]| ≤ ∏ᵢ radixᵢ.
+    cells = {node: store.cells(positions) for node, positions in bags.items()}
     bound = 1
-    cells: dict[int, np.ndarray] = {}
-    weights: dict[int, np.ndarray] = {}
-    for node in node_ids:
-        positions, strides, radix = plans[node]
-        key = store.codes[positions[0]] * strides[0]
-        for p, stride in zip(positions[1:], strides[1:]):
-            key = key + store.codes[p] * stride
-        present = np.flatnonzero(np.bincount(key, minlength=radix))
-        cells[node] = present
-        weights[node] = np.ones(len(present), dtype=np.int64)
-        bound *= max(len(present), 1)
-    if bound >= _INT64_SAFE_BOUND:
-        return None
-    use_bincount = bound < _FLOAT64_EXACT_BOUND
-
-    def subkey(node: int, sep_positions, sep_strides) -> np.ndarray:
-        """Separator cell of each of ``node``'s present bag cells."""
-        positions, strides, _ = plans[node]
-        where = {p: i for i, p in enumerate(positions)}
-        bag_cells = cells[node]
-        out = np.zeros(len(bag_cells), dtype=np.int64)
-        for p, sep_stride in zip(sep_positions, sep_strides):
-            i = where[p]
-            card = max(store.cards[p], 1)
-            out += ((bag_cells // strides[i]) % card) * sep_stride
-        return out
-
-    for node in order[:-1]:  # every non-root node sends a message up
-        parent = parent_of[node]
-        separator = jointree.bag(node) & jointree.bag(parent)
-        child_weights = weights.pop(node)
-        if not separator:
-            weights[parent] = weights[parent] * int(child_weights.sum())
-            continue
-        sep_positions = _bag_positions(relation, separator)
-        sep_strides, sep_radix = _dense_radix(store, sep_positions)
-        child_sep = subkey(node, sep_positions, sep_strides)
-        if use_bincount:
-            message = np.bincount(
-                child_sep, weights=child_weights, minlength=sep_radix
-            ).astype(np.int64)
-        else:
-            message = np.zeros(sep_radix, dtype=np.int64)
-            np.add.at(message, child_sep, child_weights)
-        parent_sep = subkey(parent, sep_positions, sep_strides)
-        weights[parent] = weights[parent] * message[parent_sep]
-    return int(weights[order[-1]].sum())
-
-
-def _acyclic_join_size_columnar(
-    relation: Relation, jointree, order, parent_of
-) -> int | None:
-    """Vectorized message passing over the relation's code columns.
-
-    Each node's table is a dense ``int64`` weight vector indexed by the
-    node's distinct bag groups; messages are bincounts over separator
-    group ids shared through the relation's cached
-    :class:`~repro.relations.columns.GroupIndex` objects.  Returns ``None``
-    when the Cartesian bound ``∏|R[Ωᵢ]|`` could overflow int64 (the exact
-    dict-based fallback then takes over with Python bignums).
-    """
-    schema = relation.schema
-    store = relation.columns()
-    groups = {}
-    bound = 1
-    for node in jointree.node_ids():
-        positions = schema.indices(schema.canonical_order(jointree.bag(node)))
-        group = store.groups(positions)
-        groups[node] = group
-        bound *= len(group.counts)
+    for record in cells.values():
+        bound *= len(record.counts)
     if bound >= _INT64_SAFE_BOUND:
         return None
     use_bincount = bound < _FLOAT64_EXACT_BOUND
 
     weights = {
-        node: np.ones(len(groups[node].counts), dtype=np.int64)
-        for node in jointree.node_ids()
+        node: np.ones(len(record.counts), dtype=np.int64)
+        for node, record in cells.items()
     }
-    for node in order[:-1]:  # every non-root node sends a message up
-        parent = parent_of[node]
-        separator = jointree.bag(node) & jointree.bag(parent)
-        child_weights = weights.pop(node)
+    for child, parent, separator in edges:
+        child_weights = weights.pop(child)
         if not separator:
             weights[parent] = weights[parent] * int(child_weights.sum())
             continue
-        sep_positions = schema.indices(schema.canonical_order(separator))
-        sep_group = store.groups(sep_positions)
-        n_sep = len(sep_group.counts)
-        child_sep = sep_group.gids[groups[node].first_index]
+        n_child = len(child_weights)
+        rows = np.concatenate(
+            (cells[child].first_index, cells[parent].first_index)
+        )
+        sep_ids = store.packed_key(separator, rows=rows)
+        n_sep = store.dense_radix(separator)
+        if n_sep is None:
+            uniques, sep_ids = np.unique(sep_ids, return_inverse=True)
+            n_sep = len(uniques)
         if use_bincount:
             message = np.bincount(
-                child_sep, weights=child_weights, minlength=n_sep
+                sep_ids[:n_child], weights=child_weights, minlength=n_sep
             ).astype(np.int64)
         else:
             message = np.zeros(n_sep, dtype=np.int64)
-            np.add.at(message, child_sep, child_weights)
-        parent_sep = sep_group.gids[groups[parent].first_index]
-        weights[parent] = weights[parent] * message[parent_sep]
-    return int(weights[order[-1]].sum())
+            np.add.at(message, sep_ids[:n_child], child_weights)
+        weights[parent] = weights[parent] * message[sep_ids[n_child:]]
+    (root_weights,) = weights.values()
+    return int(root_weights.sum())
 
 
 def _acyclic_join_size_python(

@@ -460,7 +460,8 @@ class Relation:
 
         Each attribute is a dense ``int64`` code array; multiplicity
         queries over attribute subsets are answered by mixed-radix packing
-        + one ``bincount`` or sort and cached per subset.
+        + one ``bincount`` or sort, and each subset's cells (representative
+        rows and counts) are cached.
         Advanced API — most callers want :meth:`projection_counts`,
         :meth:`projection_count_values`, or
         :class:`repro.info.engine.EntropyEngine`.
@@ -483,14 +484,6 @@ class Relation:
         """
         self._engine = None
         self._eval = None
-
-    def _group_index(self, names: Iterable[str]):
-        """Canonicalize ``names`` and group rows by them (columnar)."""
-        ordered = self._schema.canonical_order(names)
-        if not ordered:
-            raise UnknownAttributeError("projection onto the empty attribute set")
-        positions = self._schema.indices(ordered)
-        return ordered, positions, self.columns().groups(positions)
 
     # ------------------------------------------------------------------
     # Relational algebra
@@ -529,7 +522,7 @@ class Relation:
             )
         positions = self._schema.indices(ordered)
         store = self.columns()
-        out_rows = store.decode_rows(store.groups(positions).first_index, positions)
+        out_rows = store.decode_rows(store.cells(positions).first_index, positions)
         return Relation(self._schema.project(ordered), out_rows, validate=False)
 
     def projection_counts(self, names: Iterable[str]) -> Counter[Row]:
@@ -541,9 +534,14 @@ class Relation:
         vectorized sort over packed code columns; only the distinct
         groups' representatives are decoded back into value tuples.
         """
-        _, positions, group = self._group_index(names)
-        keys = self.columns().decode_rows(group.first_index, positions)
-        return Counter(dict(zip(keys, group.counts.tolist())))
+        ordered = self._schema.canonical_order(names)
+        if not ordered:
+            raise UnknownAttributeError("projection onto the empty attribute set")
+        positions = self._schema.indices(ordered)
+        store = self.columns()
+        cells = store.cells(positions)
+        keys = store.decode_rows(cells.first_index, positions)
+        return Counter(dict(zip(keys, cells.counts.tolist())))
 
     def projection_counts_naive(self, names: Iterable[str]) -> Counter[Row]:
         """Reference implementation of :meth:`projection_counts`.

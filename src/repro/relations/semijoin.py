@@ -32,8 +32,8 @@ def semijoin(left: Relation, right: Relation) -> Relation:
     semijoin is ``left`` itself when ``right`` is non-empty, else empty.
 
     Large left sides run columnar: the left rows are grouped once by the
-    shared attributes (a cached
-    :class:`~repro.relations.columns.GroupIndex`), membership is decided
+    shared attributes (a :class:`~repro.relations.columns.GroupIndex`
+    with per-row group ids), membership is decided
     per *distinct* key group rather than per row, and the surviving rows
     come from one boolean mask over the group ids.
     """

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.random_relations import random_relation
+from repro.discovery.miner import mine_jointree
 from repro.relations.columns import _MAX_PACK, ColumnStore, _dense_limit
 from repro.relations.relation import _distinct_row_indices
 
@@ -63,19 +65,21 @@ def assert_groups_match_reference(store, positions):
     assert_same(group.counts, counts)
 
 
-def assert_counts_shared(store, positions, counts_first):
+def assert_counts_and_cells_match(store, positions, counts_first):
+    """``counts`` and the cell record agree with the reference, in either
+    call order (the cell record is narrowed, so values are compared)."""
     store.clear_cache()
     if counts_first:
         counts = store.counts(positions)
-        group = store.groups(positions)
+        cells = store.cells(positions)
     else:
-        group = store.groups(positions)
+        cells = store.cells(positions)
         counts = store.counts(positions)
-    _, _, expected = reference(store.packed_key(positions))
+    _, first_index, expected = reference(store.packed_key(positions))
     assert_same(counts, expected)
-    assert counts is group.counts
-    assert store.counts(positions) is counts
-    assert not counts.flags.writeable
+    np.testing.assert_array_equal(cells.first_index, first_index)
+    np.testing.assert_array_equal(cells.counts, expected)
+    assert cells.first_index.dtype == cells.counts.dtype == np.int32
 
 
 def reference_distinct(arr):
@@ -96,7 +100,7 @@ def test_groups_match_unique(case):
 @given(stores(), st.booleans())
 def test_counts_equal_and_share_group_counts(case, counts_first):
     store, positions = case
-    assert_counts_shared(store, positions, counts_first)
+    assert_counts_and_cells_match(store, positions, counts_first)
 
 
 @settings(max_examples=100, deadline=None)
@@ -104,7 +108,7 @@ def test_counts_equal_and_share_group_counts(case, counts_first):
 def test_counts_only_builds_no_group_index(case):
     store, positions = case
     store.counts(positions)
-    assert positions not in store._groups
+    assert positions not in store._cells
 
 
 @settings(max_examples=150, deadline=None)
@@ -130,21 +134,21 @@ class TestEdgeCases:
     def test_empty_store(self, counts_first):
         store = make_store([[], []], [0, 0])
         assert_groups_match_reference(store, (0, 1))
-        assert_counts_shared(store, (0, 1), counts_first)
+        assert_counts_and_cells_match(store, (0, 1), counts_first)
         assert len(store.counts((0,))) == 0
 
     @pytest.mark.parametrize("counts_first", [True, False])
     def test_single_row(self, counts_first):
         store = make_store([[3], [0]], [4, 1])
         assert_groups_match_reference(store, (0, 1))
-        assert_counts_shared(store, (0, 1), counts_first)
+        assert_counts_and_cells_match(store, (0, 1), counts_first)
         assert store.counts((1,)).tolist() == [1]
 
     def test_constant_columns(self):
         store = make_store([[0] * 5, [2, 0, 2, 1, 0], [0] * 5], [1, 3, 1])
         for positions in [(0,), (0, 2), (0, 1, 2), (2, 1)]:
             assert_groups_match_reference(store, positions)
-            assert_counts_shared(store, positions, True)
+            assert_counts_and_cells_match(store, positions, True)
 
     @pytest.mark.parametrize("extra", [0, 1])
     @pytest.mark.parametrize("counts_first", [True, False])
@@ -156,7 +160,7 @@ class TestEdgeCases:
         codes = rng.choice([0, 7, card // 2, card - 1], size=n)
         store = make_store([codes], [card])
         assert_groups_match_reference(store, (0,))
-        assert_counts_shared(store, (0,), counts_first)
+        assert_counts_and_cells_match(store, (0,), counts_first)
 
     def test_repack_past_two_to_the_62(self):
         card = 1 << 21
@@ -168,11 +172,41 @@ class TestEdgeCases:
         store = make_store(columns, [card] * 3)
         for positions in [(0, 1, 2), (2, 0, 1)]:
             assert_groups_match_reference(store, positions)
-            assert_counts_shared(store, positions, True)
-            assert_counts_shared(store, positions, False)
+            assert_counts_and_cells_match(store, positions, True)
+            assert_counts_and_cells_match(store, positions, False)
         rows = np.stack(columns, axis=1)
         assert _distinct_row_indices(rows, [card] * 3) is None
         assert_same(
             _distinct_row_indices(rows[:, :2], [card] * 2),
             reference_distinct(rows[:, :2]),
         )
+
+
+def reachable_array_bytes(obj, skip) -> int:
+    """Bytes of the numpy arrays reachable from ``obj`` through containers."""
+    if id(obj) in skip:
+        return 0
+    skip.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (tuple, list)):
+        return sum(reachable_array_bytes(item, skip) for item in obj)
+    return 0
+
+
+def test_cached_bytes_after_mining_stay_below_the_codes():
+    """Mining touches every attribute subset; what the store keeps for them
+    must be O(groups) per subset, not O(N), so it stays below the codes."""
+    rng = np.random.default_rng(11)
+    relation = random_relation({f"A{i}": 6 for i in range(10)}, 20_000, rng)
+    mine_jointree(relation, threshold=0.05)
+    store = relation.columns()
+    code_bytes = sum(codes.nbytes for codes in store.codes)
+    skip = {id(store.codes), id(store.row_list)} | {id(c) for c in store.codes}
+    cached = sum(
+        reachable_array_bytes(getattr(store, slot), skip)
+        for slot in type(store).__slots__
+    )
+    assert cached <= code_bytes

@@ -24,12 +24,7 @@ from repro.info.divergence import conditional_mutual_information
 from repro.info.engine import EntropyEngine
 from repro.info.entropy import conditional_entropy, joint_entropy
 from repro.jointrees.build import jointree_from_schema
-from repro.relations.join import (
-    _acyclic_join_size_columnar,
-    _acyclic_join_size_dense,
-    _acyclic_join_size_python,
-    acyclic_join_size,
-)
+from repro.relations.join import _acyclic_join_size_python, acyclic_join_size
 from repro.relations.relation import Relation
 from repro.relations.schema import RelationSchema
 
@@ -324,11 +319,7 @@ class TestEndToEndEquivalence:
             )
             order = tree.topological_order()
             parents = tree.parents()
-            dense = _acyclic_join_size_dense(relation, tree, order, parents)
-            columnar = _acyclic_join_size_columnar(relation, tree, order, parents)
             python = _acyclic_join_size_python(relation, tree, order, parents)
-            assert dense == python
-            assert columnar == python
             assert acyclic_join_size(relation, tree) == python
 
 

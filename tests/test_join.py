@@ -1,20 +1,33 @@
 """Unit tests for repro.relations.join."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.jmeasure import j_measure_kl
+from repro.core.legacy import (
+    acyclic_join_size_legacy,
+    j_measure_kl_legacy,
+    split_join_size_legacy,
+)
 from repro.core.random_relations import random_relation
 from repro.errors import JoinTreeError, SchemaError
 from repro.jointrees.build import chain_jointree, jointree_from_schema
+from repro.jointrees.jointree import JoinTree
+from repro.relations import columns, join
 from repro.relations.join import (
+    _acyclic_join_size_python,
     acyclic_join_size,
     cartesian_size,
     join_size,
     materialized_acyclic_join,
     natural_join,
     natural_join_all,
+    split_join_size,
 )
 from repro.relations.relation import Relation
 from repro.relations.schema import RelationSchema
@@ -199,3 +212,114 @@ class TestDeterminism:
         t1 = chain_jointree([{"A", "B"}, {"B", "C"}, {"C", "D"}])
         t2 = chain_jointree([{"C", "D"}, {"B", "C"}, {"A", "B"}])
         assert acyclic_join_size(r, t1) == acyclic_join_size(r, t2)
+
+
+# ----------------------------------------------------------------------
+# One join path: the cell message pass against the exact references
+# ----------------------------------------------------------------------
+#: Column cardinalities.  Codes below 1000 stay identity-coded, so two
+#: such columns push a separator past the dense limit (``max(4N, 1024)``)
+#: on these small relations; a ``2^21`` column makes the store re-code
+#: every column by its distinct values instead.
+CARDS = st.sampled_from([1, 2, 3, 7, 40, 1000, 1 << 21])
+
+
+@st.composite
+def acyclic_cases(draw):
+    """A random join tree and a relation over exactly its attributes.
+
+    Each new node hangs off an earlier one, keeps a subset of its parent's
+    bag and adds at least one fresh attribute, so every attribute's nodes
+    stay connected (running intersection) and the tree covers Ω.
+    """
+    names = iter(f"A{i}" for i in range(16))
+    bags = {0: {next(names) for _ in range(draw(st.integers(1, 2)))}}
+    edges = []
+    for node in range(1, draw(st.integers(1, 4))):
+        parent = draw(st.integers(0, node - 1))
+        kept = draw(st.sets(st.sampled_from(sorted(bags[parent]))))
+        fresh = {next(names) for _ in range(draw(st.integers(1, 2)))}
+        bags[node] = kept | fresh
+        edges.append((node, parent))
+    tree = JoinTree(bags, edges)
+    attrs = sorted(tree.attributes(), key=lambda a: int(a[1:]))
+    n = draw(st.integers(1, 40))
+    columns_ = []
+    for _ in attrs:
+        card = draw(CARDS)
+        pool = draw(st.lists(st.integers(0, card - 1), min_size=1, max_size=4))
+        columns_.append(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    codes = np.array(columns_, dtype=np.int64).T
+    sizes = {a: int(codes[:, j].max()) + 1 for j, a in enumerate(attrs)}
+    relation = Relation.from_codes(RelationSchema.integer_domains(sizes), codes)
+    return relation, tree
+
+
+def assert_one_join_path(relation, tree, left, right):
+    order = tree.topological_order()
+    python = _acyclic_join_size_python(relation, tree, order, tree.parents())
+    assert acyclic_join_size(relation, tree) == python
+    assert acyclic_join_size_legacy(relation, tree) == python
+    assert split_join_size(relation, left, right) == split_join_size_legacy(
+        relation, left, right
+    )
+    assert j_measure_kl(relation, tree) == pytest.approx(
+        j_measure_kl_legacy(relation, tree), abs=1e-9
+    )
+
+
+class TestOneJoinPath:
+    @settings(max_examples=150, deadline=None)
+    @given(acyclic_cases(), st.data(), st.booleans())
+    def test_matches_references(self, case, data, recompress):
+        relation, tree = case
+        attrs = sorted(relation.schema.names)
+        sides = st.sets(st.sampled_from(attrs), min_size=1)
+        left, right = data.draw(sides), data.draw(sides)
+        # A tiny pack ceiling forces packed_key to re-compress mid-pack.
+        ceiling = 64 if recompress else columns._MAX_PACK
+        with mock.patch.object(columns, "_MAX_PACK", ceiling):
+            relation.columns().clear_cache()
+            assert_one_join_path(relation, tree, left, right)
+
+    def test_separator_past_the_dense_limit(self):
+        rng = np.random.default_rng(8)
+        n = 60
+        wide = 1000  # identity-coded, and 1000² is past the limit of 1024
+        codes = np.stack(
+            [
+                rng.choice(rng.choice(wide, 8, replace=False), size=n),
+                rng.choice(rng.choice(wide, 8, replace=False), size=n),
+                rng.integers(0, 3, size=n),
+                rng.integers(0, 4, size=n),
+            ],
+            axis=1,
+        )
+        schema = RelationSchema.integer_domains({"A": wide, "B": wide, "C": 3, "D": 4})
+        relation = Relation.from_codes(schema, codes)
+        tree = jointree_from_schema([{"A", "B", "C"}, {"A", "B", "D"}])
+        separator = relation.schema.indices(("A", "B"))
+        assert relation.columns().dense_radix(separator) is None
+        assert_one_join_path(relation, tree, {"A", "B", "C"}, {"A", "B", "D"})
+
+    @pytest.mark.parametrize("bound", ["_FLOAT64_EXACT_BOUND", "_INT64_SAFE_BOUND"])
+    def test_wide_weight_tiers(self, monkeypatch, bound):
+        """``np.add.at`` messages, then the Python-bignum DP, agree too."""
+        monkeypatch.setattr(join, bound, 1)
+        rng = np.random.default_rng(4)
+        relation = random_relation({name: 5 for name in "ABCDE"}, 80, rng)
+        schema = [{"A", "B"}, {"B", "C", "D"}, {"D", "E"}]
+        tree = jointree_from_schema(schema)
+        assert_one_join_path(relation, tree, schema[0], schema[1])
+        assert_one_join_path(relation, tree, {"A", "B"}, {"C", "D"})
+
+    def test_forced_recompression(self, monkeypatch):
+        monkeypatch.setattr(columns, "_MAX_PACK", 10_000)
+        rng = np.random.default_rng(23)
+        relation = random_relation({name: 30 for name in "ABCDEF"}, 200, rng)
+        for schema in (
+            [{"A", "B", "C", "D"}, {"B", "C", "D", "E"}, {"C", "D", "E", "F"}],
+            [{"A", "B", "C"}, {"A", "B", "D", "E"}, {"A", "B", "F"}],
+        ):
+            tree = jointree_from_schema(schema)
+            assert_one_join_path(relation, tree, schema[0], schema[1])

@@ -289,6 +289,17 @@ class TestCanonicalizeParams:
         bare = canonicalize_params("decompose", {"schema": "A,C;B,C"})
         assert with_schema == bare
 
+    def test_decompose_schema_resets_backend_knobs(self):
+        with_backend = canonicalize_params(
+            "decompose",
+            {"schema": "A,C;B,C", "backend": "sketch", "chunk_rows": 7},
+        )
+        bare = canonicalize_params("decompose", {"schema": "A,C;B,C"})
+        assert with_backend == bare
+        assert canonical_key("fp", "decompose", with_backend) == canonical_key(
+            "fp", "decompose", bare
+        )
+
     def test_bad_values_rejected(self):
         for operation, params in [
             ("mine", {"backend": "quantum"}),
