@@ -7,7 +7,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: test bench bench-baseline bench-strategies bench-jmeasure \
 	bench-streaming bench-service bench-store bench-cluster \
 	bench-saturation bench-gate service-smoke chaos-smoke \
-	saturation-smoke design-size lint
+	saturation-smoke perfbench-smoke design-size lint
 
 ## tier-1 suite (tests only; benchmarks are opt-in via `make bench`)
 test:
@@ -99,6 +99,16 @@ bench-saturation:
 ## bench-gate job runs exactly this (see docs/ci.md)
 bench-gate:
 	$(PYTHON) benchmarks/check_regression.py
+
+## run every workload of the repo benchmark (perfbench/, declared in
+## BENCHMARK.json) for 2 s at seed 7; run.py exits non-zero unless all
+## of a workload's output checks pass, and so does this target (the CI
+## tier-1 job runs exactly this)
+perfbench-smoke:
+	for workload in mine_cold serve_warm serve_miss serve_append; do \
+		$(PYTHON) perfbench/run.py --workload $$workload --seed 7 \
+			--seconds 2 || exit 1; \
+	done
 
 ## print the design-size counters tracked in ROADMAP.md as JSON
 ## (src/ and service/ lines, CLI add_argument calls, ServiceConfig

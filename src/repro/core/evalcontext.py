@@ -20,7 +20,8 @@ relation (:meth:`EvalContext.for_relation`), so every evaluation entry
 point — :func:`~repro.core.analysis.analyze`, the loss functions, the
 factorization pipeline, experiments — converges on one shared memo per
 relation instance.  Relations are immutable, hence nothing is ever
-invalidated.
+invalidated.  The relation owns its cached context, which reaches it only
+through the engine's weak reference, so dropping the relation frees all three.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from repro.errors import DistributionError
+from repro.errors import DistributionError, ReproError
 from repro.info.engine import EntropyEngine
 from repro.jointrees.jointree import JoinTree
 from repro.relations.join import acyclic_join_size, split_join_size
@@ -44,11 +45,9 @@ class EvalContext:
 
     Attributes
     ----------
-    relation:
-        The universal relation instance ``R`` being evaluated.
     engine:
         The relation's memoizing entropy engine; all ``H``/CMI queries
-        route through it.
+        route through it, and :attr:`relation` is its relation.
 
     Examples
     --------
@@ -64,7 +63,6 @@ class EvalContext:
     True
     """
 
-    relation: Relation
     engine: EntropyEngine
     _join_sizes: dict[JoinTree, int] = field(default_factory=dict, repr=False)
     _split_sizes: dict[frozenset, int] = field(default_factory=dict, repr=False)
@@ -82,17 +80,23 @@ class EvalContext:
         of ``analyze`` / loss / factorization calls against the same
         relation instance shares one memo, exactly like
         :meth:`EntropyEngine.for_relation`.  Passing an explicit
-        ``engine`` builds a detached context around it instead.
+        ``engine`` builds a detached context around it instead; an engine
+        built for another relation raises :class:`~repro.errors.ReproError`.
         """
         if engine is not None:
-            return cls(relation=relation, engine=engine)
+            if engine.relation is not relation:
+                raise ReproError("the engine was built for a different relation")
+            return cls(engine)
         context = relation._eval
         if context is None:
-            context = cls(
-                relation=relation, engine=EntropyEngine.for_relation(relation)
-            )
+            context = cls(EntropyEngine.for_relation(relation))
             relation._eval = context
         return context
+
+    @property
+    def relation(self) -> Relation:
+        """The universal relation instance ``R`` being evaluated."""
+        return self.engine.relation
 
     # ------------------------------------------------------------------
     # Entropy queries (delegated to the engine)

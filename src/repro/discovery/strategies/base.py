@@ -18,6 +18,7 @@ from repro.discovery.candidates import greedy_partition
 from repro.discovery.context import SearchContext
 from repro.discovery.scoring import CandidateBatch, MVDSplit, ScoredBatch
 from repro.errors import DiscoveryError
+from repro.jointrees.gyo import is_acyclic
 
 Bag = frozenset[str]
 
@@ -138,36 +139,41 @@ def topdown_decompose(
     (strict-best ``recursive``, rng-among-top-k ``anytime`` rounds)
     shares them exactly.
     """
-    from repro.jointrees.gyo import is_acyclic
-
     accepted: list[MVDSplit] = []
-
-    def decompose(attrs: Bag) -> list[Bag]:
-        split = None
-        if len(attrs) > 2 and not context.expired():
-            candidates = enumerate_split_candidates(context, attrs)
-            if len(candidates):
-                split = pick(
-                    context.scorer.score_batch(
-                        context.relation, candidates, engine=context.engine
-                    )
-                )
-        if split is None:
-            return [attrs]
-        combined = decompose(split.separator | split.left) + decompose(
-            split.separator | split.right
-        )
-        # Recursive splits are not automatically closed under union:
-        # each side's schema is acyclic, but gluing them can create a
-        # cycle when a separator ends up scattered across bags.  Reject
-        # such splits (keep the set as one bag).
-        if not is_acyclic(combined):
-            return [attrs]
-        accepted.append(split)
-        return combined
-
-    bags = decompose(context.relation.schema.name_set)
+    bags = _decompose(context, pick, accepted, context.relation.schema.name_set)
     return SearchOutcome(tuple(bags), tuple(accepted))
+
+
+def _decompose(
+    context: SearchContext,
+    pick: Callable[[ScoredBatch], MVDSplit | None],
+    accepted: list[MVDSplit],
+    attrs: Bag,
+) -> list[Bag]:
+    """One node of :func:`topdown_decompose` (not a self-referencing
+    closure: that cycle would keep the context's relation alive)."""
+    split = None
+    if len(attrs) > 2 and not context.expired():
+        candidates = enumerate_split_candidates(context, attrs)
+        if len(candidates):
+            split = pick(
+                context.scorer.score_batch(
+                    context.relation, candidates, engine=context.engine
+                )
+            )
+    if split is None:
+        return [attrs]
+    combined = _decompose(
+        context, pick, accepted, split.separator | split.left
+    ) + _decompose(context, pick, accepted, split.separator | split.right)
+    # Recursive splits are not automatically closed under union: each
+    # side's schema is acyclic, but gluing them can create a cycle when a
+    # separator ends up scattered across bags.  Reject such splits (keep
+    # the set as one bag).
+    if not is_acyclic(combined):
+        return [attrs]
+    accepted.append(split)
+    return combined
 
 
 def maximal_bags(bags: list[Bag]) -> list[Bag]:

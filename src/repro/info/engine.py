@@ -25,7 +25,10 @@ never invalidated:
 derived relations (projections, selections, unions) are new objects with
 fresh engines.  Use :meth:`EntropyEngine.for_relation` to get the engine
 cached *on* the relation, which is how the discovery, core, and info
-layers all end up sharing one cache per relation instance.
+layers all end up sharing one cache per relation instance.  The relation
+owns that engine, which refers back to it weakly, so dropping the last
+reference to the relation frees both; a *detached* engine (built
+directly, or for a non-exact backend) holds its relation strongly.
 
 Backends
 --------
@@ -40,11 +43,12 @@ Miller–Madow-corrected estimates.  The memo layer is backend-agnostic.
 from __future__ import annotations
 
 import math
+import weakref
 from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from repro.errors import DistributionError, UnknownAttributeError
+from repro.errors import DistributionError, ReproError, UnknownAttributeError
 from repro.info.backends import EntropyBackend, make_backend
 from repro.relations.relation import Relation
 
@@ -83,7 +87,8 @@ class EntropyEngine:
         "_log_n",
         "_n",
         "_names",
-        "_relation",
+        "_owner",
+        "_ref",
     )
 
     def __init__(
@@ -92,7 +97,9 @@ class EntropyEngine:
         *,
         backend: "str | EntropyBackend | None" = None,
     ) -> None:
-        self._relation = relation
+        # `_owner` keeps a detached engine's relation alive; see for_relation.
+        self._ref = weakref.ref(relation)
+        self._owner: Relation | None = relation
         self._backend = make_backend(backend)
         self._names = relation.schema.names
         self._bits = {name: 1 << i for i, name in enumerate(self._names)}
@@ -132,6 +139,7 @@ class EntropyEngine:
             return cls(relation, backend=backend)
         engine = cls(relation, backend=backend)
         if engine._backend.name == "exact":
+            engine._owner = None
             relation._engine = engine
         return engine
 
@@ -142,8 +150,11 @@ class EntropyEngine:
 
     @property
     def relation(self) -> Relation:
-        """The wrapped relation."""
-        return self._relation
+        """The wrapped relation (a ``ReproError`` once it has been freed)."""
+        relation = self._ref()
+        if relation is None:
+            raise ReproError("the relation of this cached entropy engine was freed")
+        return relation
 
     @property
     def backend(self) -> EntropyBackend:
@@ -152,7 +163,7 @@ class EntropyEngine:
 
     def key(self, attributes: Iterable[str]) -> tuple[str, ...]:
         """An attribute subset's names in schema order."""
-        return self._relation.schema.canonical_order(attributes)
+        return self.relation.schema.canonical_order(attributes)
 
     def mask(self, attributes: Iterable[str]) -> int:
         """The bitmask of an attribute subset (bit ``i`` = schema position ``i``).
@@ -249,7 +260,7 @@ class EntropyEngine:
         if self._log_n is None:
             raise DistributionError("entropy over an empty relation is undefined")
         key = self.names(mask)
-        value = max(self._backend.entropy_nats(self._relation, key), 0.0)
+        value = max(self._backend.entropy_nats(self.relation, key), 0.0)
         self._cache[mask] = value
         return value
 

@@ -26,16 +26,8 @@ from collections.abc import Iterable
 import numpy as np
 
 from repro.errors import DistributionError, UnknownAttributeError
-from repro.info.engine import EntropyEngine
+from repro.info.engine import EntropyEngine, _convert
 from repro.relations.relation import Relation
-
-
-def _convert(value_nats: float, base: float | None) -> float:
-    if base is None:
-        return value_nats
-    if base <= 0 or base == 1.0:
-        raise DistributionError(f"log base must be positive and != 1, got {base}")
-    return value_nats / math.log(base)
 
 
 def _as_float_array(values: Iterable[float]) -> np.ndarray:

@@ -136,6 +136,7 @@ class Relation:
         "_row_cache",
         "_schema",
         "_store",
+        "__weakref__",
     )
 
     def __init__(
@@ -154,7 +155,8 @@ class Relation:
             self._rows = frozenset(tuple(row) for row in rows)
         # Lazily-built caches (the relation itself is immutable): the
         # columnar store, the memoizing entropy engine bound to it, and
-        # the evaluation context memoizing join sizes on top of both.
+        # the evaluation context memoizing join sizes on top of both
+        # (which refer back here only weakly: no reference cycle).
         self._store: ColumnStore | None = None
         self._engine = None
         self._eval = None
@@ -471,19 +473,6 @@ class Relation:
             store = ColumnStore(tuple(self._rows), self._schema.arity)
             self._store = store
         return store
-
-    def release_engines(self) -> None:
-        """Forget the entropy engine and evaluation context cached here.
-
-        Both refer back to the relation, so while cached they keep it —
-        with its columnar caches — alive until a full garbage collection
-        finds the cycle.  A holder retiring a relation (a superseded or
-        evicted dataset version) calls this so reference counting frees
-        it as soon as the last user lets go; a later query on the
-        relation simply builds new ones.
-        """
-        self._engine = None
-        self._eval = None
 
     # ------------------------------------------------------------------
     # Relational algebra

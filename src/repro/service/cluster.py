@@ -819,8 +819,7 @@ class _WorkerRuntime:
         self._relations[fingerprint] = relation
         self._relations.move_to_end(fingerprint)
         while len(self._relations) > WORKER_MAX_RESIDENT:
-            _, dropped = self._relations.popitem(last=False)
-            dropped.release_engines()
+            self._relations.popitem(last=False)
 
     def _relation_for(self, message: dict):
         """Local cache, else :func:`~repro.relations.persist.hydrate_relation`;
@@ -967,7 +966,6 @@ class _WorkerRuntime:
                 chain=info["chain"],
             )
             self._relations.pop(message["fingerprint"], None)
-            relation.release_engines()
             self._keep(info["fingerprint"], appended)
         return info
 

@@ -747,8 +747,8 @@ class DatasetRegistry:
 
         The superseded fingerprint becomes an alias (:meth:`resolve`), its
         spill files are retired (its snapshot must not resurrect it as a
-        separate dataset on the next restart) and its relation drops its
-        cached engine.  ``appended`` is the new relation when this process
+        separate dataset on the next restart) and its relation is
+        dropped.  ``appended`` is the new relation when this process
         built it, ``None`` when a worker did.  Content that coincides with
         another registered dataset folds into that entry, which keeps its
         source, version and chain; ``info`` then reports that entry's
@@ -759,7 +759,6 @@ class DatasetRegistry:
                 self._c_append_noops.inc()
             return entry
         old_fp, new_fp = entry.fingerprint, info["fingerprint"]
-        superseded = entry.relation
         with self._lock:
             del self._entries[old_fp]
             self._aliases[old_fp] = new_fp
@@ -789,8 +788,6 @@ class DatasetRegistry:
             self._c_append_rows_added.inc(info["rows_added"])
             self._evict_over_budget()
         self._retire_version_files(old_fp)
-        if superseded is not None:
-            superseded.release_engines()
         info["version"] = entry.version
         info["chain"] = entry.chain()
         return entry
@@ -1056,7 +1053,6 @@ class DatasetRegistry:
             # spill the memo beside the snapshot so a later reload
             # comes back warm.
             self._spill_engine_memo(entry)
-            entry.relation.release_engines()
             entry.relation = None
             total -= entry.resident_bytes
             self._c_evictions.inc()

@@ -8,12 +8,14 @@ snapshot hydration — and exercise the crash/respawn/rehydrate cycle
 end to end.
 """
 
+import gc
 import json
 import socket
 import struct
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -340,7 +342,10 @@ class TestClusterService:
 
 
 class TestWorkerRuntime:
-    def test_lru_drop_releases_engines(self, tmp_path, monkeypatch):
+    """A relation the worker stops holding is freed by reference counting
+    (the cyclic collector is off), with its cached engine memo built."""
+
+    def test_lru_drop_frees_the_relation(self, tmp_path, monkeypatch):
         from repro.info.engine import EntropyEngine
         from repro.relations.io import read_csv
         from repro.service import cluster
@@ -348,39 +353,50 @@ class TestWorkerRuntime:
 
         monkeypatch.setattr(cluster, "WORKER_MAX_RESIDENT", 2)
         runtime = cluster._WorkerRuntime(faults=DISABLED)
-        relations = [
-            read_csv(make_csv(tmp_path, f"t{i}.csv", n_classes=i + 1))
-            for i in range(3)
-        ]
-        for i, relation in enumerate(relations):
-            EntropyEngine.for_relation(relation).entropy(["A"])
-            runtime._keep(f"fp{i}", relation)
-        assert runtime.resident() == ["fp1", "fp2"]
-        assert relations[0]._engine is None
-        assert relations[1]._engine is not None
-        assert relations[2]._engine is not None
+        gc.collect()
+        gc.disable()
+        try:
+            refs = []
+            for i in range(3):
+                relation = read_csv(make_csv(tmp_path, f"t{i}.csv", n_classes=i + 1))
+                EntropyEngine.for_relation(relation).entropy(["A"])
+                runtime._keep(f"fp{i}", relation)
+                refs.append(weakref.ref(relation))
+            del relation
+            assert runtime.resident() == ["fp1", "fp2"]
+            assert refs[0]() is None
+            assert refs[1]() is not None and refs[2]() is not None
+        finally:
+            gc.enable()
 
-    def test_append_releases_superseded_version_engines(self, tmp_path):
+    def test_append_frees_the_superseded_version(self, tmp_path):
         from repro.info.engine import EntropyEngine
         from repro.relations.io import read_csv
         from repro.service import cluster
         from repro.service.faults import DISABLED
 
         runtime = cluster._WorkerRuntime(faults=DISABLED)
-        relation = read_csv(make_csv(tmp_path))
-        fp = relation.fingerprint()
-        EntropyEngine.for_relation(relation).entropy(["A"])
-        runtime._keep(fp, relation)
-        message = {
-            "fingerprint": fp,
-            "append_rows": [[9, 9, 9]],
-            "chain": {"base": fp, "chunks": [], "version": 1},
-            "spill_dir": str(tmp_path),
-        }
-        info = runtime._append(message, relation)
-        assert info["changed"]
-        assert runtime.resident() == [info["fingerprint"]]
-        assert relation._engine is None
+        gc.collect()
+        gc.disable()
+        try:
+            relation = read_csv(make_csv(tmp_path))
+            fp = relation.fingerprint()
+            EntropyEngine.for_relation(relation).entropy(["A"])
+            runtime._keep(fp, relation)
+            message = {
+                "fingerprint": fp,
+                "append_rows": [[9, 9, 9]],
+                "chain": {"base": fp, "chunks": [], "version": 1},
+                "spill_dir": str(tmp_path),
+            }
+            info = runtime._append(message, relation)
+            superseded = weakref.ref(relation)
+            del relation
+            assert info["changed"]
+            assert runtime.resident() == [info["fingerprint"]]
+            assert superseded() is None
+        finally:
+            gc.enable()
 
 
 # ----------------------------------------------------------------------

@@ -201,6 +201,16 @@ class TestEvalContext:
         assert context.engine is engine
         assert context is not EvalContext.for_relation(relation)
 
+    def test_explicit_engine_for_another_relation_is_rejected(self):
+        from repro.errors import ReproError
+        from repro.info.engine import EntropyEngine
+
+        rng = np.random.default_rng(8)
+        relation = random_relation({"A": 4, "B": 4}, 10, rng)
+        other = random_relation({"A": 4, "B": 4}, 10, rng)
+        with pytest.raises(ReproError, match="different relation"):
+            EvalContext.for_relation(relation, engine=EntropyEngine(other))
+
 
 class TestLegacyProfile:
     def test_profile_matches_engine_paths(self):

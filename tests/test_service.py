@@ -113,6 +113,33 @@ class TestDatasetRegistry:
         finally:
             gc.enable()
 
+    def test_evicted_relation_is_freed_after_a_mine(self, table_csv):
+        """The service's mine job leaves no reference cycle through its
+        search either: an evicted dataset's relation is freed as soon as
+        the registry drops it, with the cyclic collector off."""
+
+        def alive(store):
+            return any(
+                isinstance(obj, Relation) and obj._store is store
+                for obj in gc.get_objects()
+            )
+
+        registry = DatasetRegistry(memory_budget_bytes=1)
+        entry = registry.register_path(table_csv)[0]
+        gc.collect()
+        gc.disable()
+        try:
+            relation = registry.relation(entry.fingerprint)
+            report = run_operation(relation, "mine", canonicalize_params("mine", {}))
+            assert report["rho"] == 0.0
+            evicted = relation.columns()
+            del relation
+            registry.register_path(make_csv(table_csv.parent, "other.csv", 3))
+            assert not entry.resident
+            assert not alive(evicted)
+        finally:
+            gc.enable()
+
     def test_reingest_detects_mutated_source(self, tmp_path):
         path = make_csv(tmp_path)
         one = DatasetRegistry().register_path(path)[0]

@@ -241,11 +241,16 @@ class TestMemoRoundTrip:
             for combo in itertools.combinations(names, size)
         ]
         errors = []
+        # Each fill thread waits after its first entropy until one
+        # snapshot is taken, so the threads cannot all finish first.
+        snapshot_taken = threading.Event()
 
         def fill(part):
             try:
-                for subset in subsets[part::4]:
+                for i, subset in enumerate(subsets[part::4]):
                     engine.entropy(subset)
+                    if i == 0:
+                        snapshot_taken.wait(30)
             except Exception as exc:  # reported by the assertion below
                 errors.append(exc)
 
@@ -262,6 +267,7 @@ class TestMemoRoundTrip:
                 except Exception as exc:
                     errors.append(exc)
                 snapshots += 1
+                snapshot_taken.set()
             for thread in threads:
                 thread.join(timeout=30)
         finally:

@@ -11,12 +11,15 @@ Two pillars:
   an independent reference implementation.
 """
 
+import gc
 import math
 import time
+import weakref
 
 import numpy as np
 import pytest
 
+from repro.core.analysis import analyze
 from repro.core.jmeasure import j_measure
 from repro.core.loss import spurious_loss
 from repro.core.random_relations import random_relation
@@ -38,7 +41,8 @@ from repro.discovery.candidates import (
 from repro.discovery.scoring import MVDSplit, prefer_split
 from repro.discovery.strategies import _REGISTRY
 from repro.discovery.strategies.base import DiscoveryStrategy, SearchOutcome
-from repro.errors import DiscoveryError
+from repro.errors import DiscoveryError, ReproError
+from repro.factorize.pipeline import decompose
 from repro.info.divergence import conditional_mutual_information
 from repro.info.engine import EntropyEngine
 from repro.jointrees.build import jointree_from_schema
@@ -336,3 +340,45 @@ class TestBudgetIntegration:
         )
         assert fit.rho <= 0.5
         assert is_acyclic(fit.bags)
+
+
+class TestRelationLifetime:
+    """Mining, analysing and decomposing leave no reference cycle that
+    holds the relation: once the caller drops it, reference counting
+    frees it (the cyclic collector is off)."""
+
+    @pytest.mark.parametrize("backend", [None, "sketch"])
+    @pytest.mark.parametrize("name", BUILTIN_STRATEGIES)
+    def test_dropped_relation_is_freed(self, name, backend):
+        relation = planted_mvd_relation(6, 6, 3, np.random.default_rng(0))
+        gc.collect()
+        gc.disable()
+        try:
+            mined = mine_jointree(
+                relation, strategy=name, threshold=0.05, backend=backend
+            )
+            analyze(relation, mined.jointree)
+            decompose(relation, mined.jointree)
+            ref = weakref.ref(relation)
+            del relation
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_detached_engine_keeps_its_relation(self):
+        def make_relation():
+            return planted_mvd_relation(6, 6, 3, np.random.default_rng(0))
+
+        detached = EntropyEngine(make_relation())
+        gc.collect()
+        relation = make_relation()
+        expected = EntropyEngine.for_relation(relation).entropy(["A", "C"])
+        assert detached.entropy(["A", "C"]) == expected
+
+    def test_cached_engine_outliving_its_relation_raises(self):
+        relation = planted_mvd_relation(6, 6, 3, np.random.default_rng(0))
+        engine = EntropyEngine.for_relation(relation)
+        del relation
+        gc.collect()
+        with pytest.raises(ReproError, match="freed"):
+            engine.entropy(["A"])
