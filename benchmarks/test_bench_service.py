@@ -260,6 +260,9 @@ def run_telemetry_overhead_tier(csv_path: Path, reps: int = 60) -> dict:
 
 
 APPEND_DELTA_ROWS = 64
+#: Equal-size appends chained onto one dataset; the revalidation time is
+#: their minimum, as the warm side takes the minimum of its round trips.
+APPEND_ROUNDS = 3
 
 
 def _write_append_tier_csv(path: Path, n_rows: int, seed: int) -> None:
@@ -294,9 +297,12 @@ def _write_append_tier_csv(path: Path, n_rows: int, seed: int) -> None:
 def run_append_tier(n_rows: int, seed: int, csv_path: Path) -> dict:
     """Cached-jointree revalidation after a small delta vs full re-mine.
 
-    The append side delta-ingests ``APPEND_DELTA_ROWS`` rows over
-    ``POST /v1/datasets/{fp}/append`` and answers ``mine`` on the new
-    version from the **revalidated** result cache; the re-mine side
+    The append side delta-ingests ``APPEND_ROUNDS`` deltas of
+    ``APPEND_DELTA_ROWS`` rows each over ``POST
+    /v1/datasets/{fp}/append``, one after another, and answers ``mine``
+    on the last version from the **revalidated** result cache; the
+    revalidation time is the minimum over the rounds, so one
+    descheduled round cannot sink the ratio.  The re-mine side
     registers the concatenated CSV on a fresh server and runs the mine
     job cold.  The tracked ratio compares the *maintenance work* both
     sides pay server-side to produce that answer — revalidation
@@ -308,12 +314,20 @@ def run_append_tier(n_rows: int, seed: int, csv_path: Path) -> dict:
     answer about the same relation.
     """
     base_path = csv_path.with_name("service_bench_append_base.csv")
-    delta_path = csv_path.with_name("service_bench_append_delta.csv")
     concat_path = csv_path.with_name("service_bench_append_concat.csv")
     _write_append_tier_csv(base_path, n_rows, seed + 2)
-    _write_append_tier_csv(delta_path, APPEND_DELTA_ROWS, seed + 3)
-    delta_body = delta_path.read_text().split("\n", 1)[1]
-    concat_path.write_text(base_path.read_text() + delta_body)
+    delta_paths = []
+    concat_text = base_path.read_text()
+    for round_index in range(APPEND_ROUNDS):
+        delta_path = csv_path.with_name(
+            f"service_bench_append_delta_{round_index}.csv"
+        )
+        _write_append_tier_csv(
+            delta_path, APPEND_DELTA_ROWS, seed + 3 + round_index
+        )
+        delta_paths.append(delta_path)
+        concat_text += delta_path.read_text().split("\n", 1)[1]
+    concat_path.write_text(concat_text)
 
     spill_a = csv_path.with_name("append_spill_a")
     spill_b = csv_path.with_name("append_spill_b")
@@ -324,13 +338,17 @@ def run_append_tier(n_rows: int, seed: int, csv_path: Path) -> dict:
         cold = client.run(fp, "mine", {"strategy": "beam"}, timeout=600)
         assert cold["state"] == "done", cold
 
-        start = time.perf_counter()
-        out = client.append_dataset(fp, path=str(delta_path))
-        append_http_s = time.perf_counter() - start
-        assert out["changed"] is True, out
-        assert out["revalidation"]["revalidated"] >= 1, out["revalidation"]
-        revalidate_s = out["revalidation"]["wall_time_s"]
-        new_fp = out["fingerprint"]
+        append_http_s = float("inf")
+        revalidate_s = float("inf")
+        new_fp = fp
+        for delta_path in delta_paths:
+            start = time.perf_counter()
+            out = client.append_dataset(new_fp, path=str(delta_path))
+            append_http_s = min(append_http_s, time.perf_counter() - start)
+            assert out["changed"] is True, out
+            assert out["revalidation"]["revalidated"] >= 1, out["revalidation"]
+            revalidate_s = min(revalidate_s, out["revalidation"]["wall_time_s"])
+            new_fp = out["fingerprint"]
 
         hit_http_s = float("inf")
         hit_service_s = float("inf")
@@ -356,6 +374,7 @@ def run_append_tier(n_rows: int, seed: int, csv_path: Path) -> dict:
 
     return {
         "append_delta_rows": APPEND_DELTA_ROWS,
+        "append_rounds": APPEND_ROUNDS,
         "append_http_s": append_http_s,
         "append_revalidated_entries": out["revalidation"]["revalidated"],
         "append_revalidate_s": revalidate_s,

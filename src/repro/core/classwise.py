@@ -242,8 +242,8 @@ def classwise_decomposition(
         classes=tuple(profiles),
         log_loss=math.log1p(global_rho),
         entropy_gap=math.log(n_classes) - h_c,
-        weighted_log_ceiling=float(weights @ np.log1p(ceilings)),
-        weighted_log_loss=float(weights @ np.log1p(rho)),
+        weighted_log_ceiling=float((weights * np.log1p(ceilings)).sum()),
+        weighted_log_loss=float((weights * np.log1p(rho)).sum()),
         cmi=cmi,
     )
 

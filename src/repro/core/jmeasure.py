@@ -25,6 +25,7 @@ from repro.info.divergence import (
     conditional_mutual_information,
     kl_divergence_to_callable,
 )
+from repro.info.backends import sum_c_log_c
 from repro.info.engine import EntropyEngine
 from repro.info.entropy import relation_entropy
 from repro.info.factorization import junction_tree_factorization
@@ -106,10 +107,7 @@ def j_measure_kl(
 
     def c_log_c(attributes) -> float:
         positions = schema.indices(schema.canonical_order(attributes))
-        counts = store.cells(positions).counts.astype(np.float64)
-        # Not ``counts @ np.log(counts)``: past ~10k cells the BLAS dot
-        # wakes threads that then spin, burning a second core per call.
-        return float((counts * np.log(counts)).sum())
+        return sum_c_log_c(store.cells(positions).counts.astype(np.float64))
 
     weighted = 0.0
     factor_balance = 0

@@ -53,6 +53,22 @@ _MIX_2 = _U64(0x94D049BB133111EB)
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
 
 
+def sum_c_log_c(values: np.ndarray) -> float:
+    """``Σ v·log v`` over a positive float64 vector.
+
+    Every entropy, J-measure and KL sum of this package reduces to this
+    sum over projection counts.  It is taken elementwise with numpy's
+    pairwise summation, never as a BLAS dot of ``v`` with ``log v``: the
+    OpenBLAS that numpy ships splits dots past ~10k elements across
+    threads that keep spinning after the call, and the split changes the
+    summation order, so the result's last bits would depend on the
+    host's core count.  ``values`` is not modified.
+    """
+    terms = np.log(values)
+    terms *= values
+    return float(terms.sum())
+
+
 def _hash_u64(keys: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 finalizer over a uint64 key array."""
     x = keys.astype(_U64, copy=True)
@@ -360,7 +376,7 @@ class EntropySketch:
             counts = np.fromiter(
                 self._counts.values(), dtype=np.float64, count=len(self._counts)
             )
-            s += float(counts @ np.log(counts))
+            s += sum_c_log_c(counts)
         k_hat = float(len(self._counts))
         if self._tail_mass and self._kmv is not None and self._cm is not None:
             tail_distinct = max(self._kmv.distinct_estimate(), 1.0)
@@ -416,7 +432,7 @@ class ExactEntropyBackend(EntropyBackend):
         n = len(relation)
         counts = relation.projection_count_values(key)
         c = counts.astype(np.float64, copy=False)
-        return max(math.log(n) - float(c @ np.log(c)) / n, 0.0)
+        return max(math.log(n) - sum_c_log_c(c) / n, 0.0)
 
     def spurious_loss(self, relation: Relation, jointree) -> float:
         from repro.core.loss import spurious_loss

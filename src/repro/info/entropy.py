@@ -26,6 +26,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from repro.errors import DistributionError, UnknownAttributeError
+from repro.info.backends import sum_c_log_c
 from repro.info.engine import EntropyEngine, _convert
 from repro.relations.relation import Relation
 
@@ -65,7 +66,7 @@ def entropy_of_counts(counts: Iterable[int], *, base: float | None = None) -> fl
     if arr.size == 0:
         raise DistributionError("entropy of an empty count vector is undefined")
     total = float(arr.sum())
-    h = math.log(total) - float(arr @ np.log(arr)) / total
+    h = math.log(total) - sum_c_log_c(arr) / total
     return _convert(max(h, 0.0), base)
 
 
@@ -83,7 +84,7 @@ def entropy_of_probs(probs: Iterable[float], *, base: float | None = None) -> fl
     total = float(arr.sum())
     if abs(total - 1.0) > 1e-6:
         raise DistributionError(f"probabilities sum to {total}, expected 1")
-    h = -float(arr @ np.log(arr))
+    h = -sum_c_log_c(arr)
     return _convert(max(h, 0.0), base)
 
 

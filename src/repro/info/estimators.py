@@ -91,7 +91,7 @@ def jackknife(counts: Iterable[int], *, base: float | None = None) -> float:
     c_minus_1 = arr - 1.0
     s_minus = s_full - c_log_c + c_minus_1 * np.log(np.maximum(c_minus_1, 1.0))
     h_minus = math.log(n - 1) - s_minus / (n - 1)
-    loo_sum = float(arr @ h_minus)
+    loo_sum = float((arr * h_minus).sum())
     value = n * h_full - (n - 1) / n * loo_sum
     value = max(value, 0.0)
     if base is not None:

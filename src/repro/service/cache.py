@@ -13,6 +13,10 @@ Two layers:
   also written as one JSON file named by its key digest, and a memory
   miss falls through to disk before being declared a miss.  A restarted
   service pointed at the same spill directory therefore starts warm.
+  The job queue writes a computed report's spill file only after the
+  job is marked done (:meth:`ResultCache.admit`, then
+  :meth:`ResultCache.spill`), so the client is not kept waiting on the
+  write; a crash in between costs one later miss, never a wrong answer.
 
 Only reports that pass the shared CLI schema
 (:func:`repro.factorize.report.validate_report`) are admitted — on put
@@ -213,36 +217,60 @@ class ResultCache:
             self.last_quarantine_at = time.monotonic()
 
     def put(self, key: str, payload: dict, *, meta: dict | None = None) -> None:
-        """Admit a report (validated against the shared schema) under ``key``."""
+        """Admit a report (validated against the shared schema) under ``key``
+        and write its spill file before returning."""
+        self.spill(self.admit(key, payload, meta=meta))
+
+    def admit(
+        self, key: str, payload: dict, *, meta: dict | None = None
+    ) -> dict | None:
+        """The memory half of :meth:`put`: validate and admit ``payload``.
+
+        Returns the spill document to hand to :meth:`spill` later, or
+        ``None`` without a spill directory.  The job queue admits before
+        it marks a job done and spills only after the answer is out.
+        """
         validate_report(payload)
         frozen = json.loads(json.dumps(payload))  # detach from the producer
         with self._lock:
             self._admit(key, frozen, meta)
-        path = self._spill_path(key)
-        if path is not None:
-            try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                document = {"key": key, "meta": meta or {}, "payload": frozen}
-                tmp = path.with_suffix(".tmp")
-                with open(tmp, "w", encoding="utf-8") as handle:
-                    handle.write(
-                        json.dumps(document, indent=2, sort_keys=True) + "\n"
-                    )
-                    handle.flush()
-                    # Durability before visibility: without the fsync, a
-                    # hard kill after the rename could surface an
-                    # empty-but-renamed entry from the page cache.
-                    os.fsync(handle.fileno())
-                tmp.replace(path)  # atomic: readers never see a torn file
-                if self._faults.fire("cache.spill_write_torn"):
-                    # Chaos: simulate a crash that tore the entry on
-                    # disk (e.g. pre-fsync-discipline corruption) — the
-                    # read path must quarantine it, never serve it.
-                    with open(path, "r+", encoding="utf-8") as handle:
-                        handle.truncate(max(path.stat().st_size // 2, 1))
-                self._c_spill_writes.inc()
-            except OSError:
-                pass  # spill is best-effort; the memory tier already has it
+        if self._spill_dir is None:
+            return None
+        return {"key": key, "meta": meta or {}, "payload": frozen}
+
+    def spill(self, document: dict | None) -> None:
+        """Write an :meth:`admit` document to disk (``None`` is a no-op).
+
+        Best effort: an ``OSError`` leaves the entry in memory only.
+        """
+        if document is None:
+            return
+        path = self._spill_path(document["key"])
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_suffix(".tmp")
+            with open(tmp, "w", encoding="utf-8") as handle:
+                # Compact, so json's C encoder writes it; indented spills
+                # from older builds still load.
+                handle.write(
+                    json.dumps(document, sort_keys=True, separators=(",", ":"))
+                    + "\n"
+                )
+                handle.flush()
+                # Durability before visibility: without the fsync, a
+                # hard kill after the rename could surface an
+                # empty-but-renamed entry from the page cache.
+                os.fsync(handle.fileno())
+            tmp.replace(path)  # atomic: readers never see a torn file
+            if self._faults.fire("cache.spill_write_torn"):
+                # Chaos: simulate a crash that tore the entry on
+                # disk (e.g. pre-fsync-discipline corruption) — the
+                # read path must quarantine it, never serve it.
+                with open(path, "r+", encoding="utf-8") as handle:
+                    handle.truncate(max(path.stat().st_size // 2, 1))
+            self._c_spill_writes.inc()
+        except OSError:
+            pass  # spill is best-effort; the memory tier already has it
 
     def _admit(self, key: str, payload: dict, meta: dict | None = None) -> None:
         """Insert/refresh under the LRU cap (caller holds the lock)."""

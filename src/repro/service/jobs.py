@@ -33,7 +33,9 @@ items in order, each through one executor call:
 :class:`~repro.service.cluster.ClusterSupervisor`.  Items after the first
 re-check the cache, so an earlier identical item in the same job fills
 it for its twins, and each item is cached on its own — a batch's reports
-are bit-identical to the same operations submitted as singletons.
+are bit-identical to the same operations submitted as singletons.  A
+computed report enters the cache's memory tier before its job settles;
+its spill file is written after the job is answered and counted.
 
 Deadlines: a singleton's ``deadline`` param, else ``default_deadline_s``,
 becomes an absolute timestamp at submission.  An item that *starts* past
@@ -1019,9 +1021,10 @@ class JobQueue:
             if job is None:  # shutdown sentinel
                 self._queue.task_done()
                 return
+            spills: list[dict] = []
             try:
                 self._faults.check("jobs.worker_crash")
-                self._run_job(job)
+                spills = self._run_job(job)
             except BaseException as exc:
                 # The thread is dying mid-job (only BaseExceptions reach
                 # here; _run_job absorbs ordinary ones).  Fail the job
@@ -1044,6 +1047,10 @@ class JobQueue:
                     self._c_completed.labels(job.state).inc()
                     self._record_finished(job)
                 self._observe_finished(job)
+                # The job is answered and counted; only now pay for the
+                # spill files.  A crash before this costs later misses.
+                for document in spills:
+                    self._cache.spill(document)
                 self._queue.task_done()
 
     def _timings(self):
@@ -1095,12 +1102,15 @@ class JobQueue:
                 self._breakers[operation].record_failure()
         job._fail_pending(error)
 
-    def _run_job(self, job: Job) -> None:
+    def _run_job(self, job: Job) -> list[dict]:
         """Run the job's pending items in order, one executor call each.
 
         A client error fails only its own item; an infrastructure error
-        fails it and every pending item together.
+        fails it and every pending item together.  Each computed report
+        enters the cache's memory tier before the job settles; the
+        returned spill documents are written by the caller afterwards.
         """
+        spills: list[dict] = []
         job.started_at = time.monotonic()
         job.state = RUNNING
         timings = self._timings()
@@ -1145,7 +1155,7 @@ class JobQueue:
                     # Partial (deadline-expired) and degraded (sketch
                     # fallback) results are never cached: a retry under
                     # better conditions must recompute the exact answer.
-                    self._cache.put(
+                    document = self._cache.admit(
                         item.cache_key,
                         payload,
                         meta={
@@ -1154,6 +1164,8 @@ class JobQueue:
                             "params": item.canonical_params,
                         },
                     )
+                    if document is not None:
+                        spills.append(document)
                 item.result = payload
                 item.state = DONE
                 with self._lock:
@@ -1194,6 +1206,7 @@ class JobQueue:
             timings.add("run", time.perf_counter() - run_started)
             job.timings = timings.to_dict()
         job._settle()
+        return spills
 
     def shutdown(self, *, wait: bool = True) -> None:
         """Stop accepting jobs and (optionally) drain the workers.

@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import DistributionError
+from repro.info.backends import sum_c_log_c
 from repro.info.entropy import (
     conditional_entropy,
     entropy_of_counts,
@@ -21,6 +23,21 @@ from repro.relations.schema import RelationSchema
 def uniform_relation():
     schema = RelationSchema.integer_domains({"A": 2, "B": 2})
     return Relation(schema, [(0, 0), (0, 1), (1, 0), (1, 1)])
+
+
+class TestSumCLogC:
+    def test_matches_an_exact_loop_sum(self):
+        values = np.random.default_rng(3).integers(1, 5000, size=30_000)
+        values = values.astype(np.float64)
+        reference = math.fsum(v * math.log(v) for v in values.tolist())
+        assert sum_c_log_c(values) == pytest.approx(reference, rel=1e-13)
+
+    def test_leaves_its_input_alone(self):
+        values = np.array([1.0, 2.0, 7.0])
+        assert sum_c_log_c(values) == pytest.approx(
+            2 * math.log(2) + 7 * math.log(7)
+        )
+        assert values.tolist() == [1.0, 2.0, 7.0]
 
 
 class TestEntropyOfCounts:

@@ -1,6 +1,7 @@
 """Unit tests for the service core: registry, result cache, job queue."""
 
 import gc
+import json
 import threading
 import time
 
@@ -252,6 +253,36 @@ class TestResultCache:
         assert restarted.get(key) == self.payload(j=0.25)
         assert restarted.stats()["spill_loads"] == 1
 
+    def test_admit_defers_the_spill_write(self, tmp_path):
+        spill = tmp_path / "spill"
+        key = canonical_key("fp", "mine", {})
+        cache = ResultCache(spill_dir=spill)
+        document = cache.admit(key, self.payload(j=0.5))
+        assert cache.get(key) == self.payload(j=0.5)  # memory tier has it
+        assert not (spill / f"result-{key}.json").exists()
+        assert cache.stats()["spill_writes"] == 0
+        cache.spill(document)
+        assert cache.stats()["spill_writes"] == 1
+        assert ResultCache(spill_dir=spill).get(key) == self.payload(j=0.5)
+        assert ResultCache().admit(key, self.payload()) is None  # no disk tier
+
+    def test_spill_is_compact_and_indented_spills_still_load(self, tmp_path):
+        spill = tmp_path / "spill"
+        key = canonical_key("fp", "mine", {"seed": 1})
+        ResultCache(spill_dir=spill).put(key, self.payload(j=0.125))
+        text = (spill / f"result-{key}.json").read_text()
+        assert text.count("\n") == 1 and ": " not in text
+        # The layout older builds wrote: indented, sorted keys.
+        old_key = canonical_key("fp", "mine", {"seed": 2})
+        document = {"key": old_key, "meta": {}, "payload": self.payload(j=0.25)}
+        (spill / f"result-{old_key}.json").write_text(
+            json.dumps(document, indent=2, sort_keys=True) + "\n"
+        )
+        restarted = ResultCache(spill_dir=spill)
+        assert restarted.get(key) == self.payload(j=0.125)
+        assert restarted.get(old_key) == self.payload(j=0.25)
+        assert restarted.quarantined == 0
+
     def test_torn_spill_file_is_a_miss(self, tmp_path):
         spill = tmp_path / "spill"
         spill.mkdir()
@@ -405,6 +436,42 @@ class TestJobQueue:
             assert clean == job.result  # bit-identical to the cold report
             assert cache.stats()["hits"] == 1
         finally:
+            jobs.shutdown()
+
+    def test_job_is_done_before_its_spill_is_written(self, tmp_path):
+        """A miss is answered first; the spill file follows, and a fresh
+        cache over the spill directory then loads the same report."""
+        registry = DatasetRegistry()
+        fp = registry.register_path(make_csv(tmp_path))[0].fingerprint
+        spill = tmp_path / "spill"
+        cache = ResultCache(spill_dir=spill)
+        jobs = JobQueue(registry, cache, workers=1)
+        release = threading.Event()
+        written = threading.Event()
+        original_spill = cache.spill
+
+        def held_spill(document):
+            release.wait(10)
+            original_spill(document)
+            written.set()
+
+        cache.spill = held_spill
+        try:
+            job = jobs.submit(fp, "mine", {"strategy": "beam"})
+            assert job.wait(10)
+            assert job.state == DONE and not job.cached
+            assert jobs.get(job.id).describe()["state"] == DONE
+            assert jobs.stats()["completed_total"][DONE] == 1
+            key = canonical_key(fp, "mine", job.canonical_params)
+            path = spill / f"result-{key}.json"
+            assert not path.exists()
+            assert cache.get(key) is not None  # the memory tier has it
+            release.set()
+            assert written.wait(10)
+            assert path.exists()
+            assert ResultCache(spill_dir=spill).get(key) == job.result
+        finally:
+            release.set()
             jobs.shutdown()
 
     def test_submit_racing_a_finishing_twin_takes_its_result(self, tmp_path):
