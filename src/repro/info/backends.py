@@ -112,7 +112,8 @@ def iter_packed_key_chunks(
     for start in range(0, n, chunk_rows):
         stop = min(start + chunk_rows, n)
         if exact:
-            key = store.codes[positions[0]][start:stop].copy()
+            # Widen before packing: int32 code columns would overflow.
+            key = store.codes[positions[0]][start:stop].astype(np.int64)
             for position in positions[1:]:
                 card = store.cards[position]
                 if card <= 1:

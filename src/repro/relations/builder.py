@@ -13,6 +13,9 @@ Each chunk is dictionary-coded column by column:
   ``"1.0"`` share one code and keep the first value seen;
 * :meth:`ColumnStoreBuilder.add_rows` takes rows of values.
 
+Both lookups are :class:`_Lookup` dicts, which code a missing key on first
+sight, so a chunk's column is coded in one pass over its cells.
+
 The value encoders use Python's hash-based equality, exactly like a
 relation's row ``frozenset`` (``1 == True == 1.0`` collapse).
 
@@ -29,9 +32,9 @@ the file's Python tuples.
 column's distinct values the way the column store codes a column of values
 (:func:`~repro.relations.columns._encode_column`: identity for small
 non-negative ints, sorted for homogeneous numeric or string columns,
-first-seen otherwise), one gather per column, so the count arrays behind
-every entropy are those of factorizing the decoded rows, for any chunk
-size.  The relation's store is seeded from those codes, and its row
+first-seen otherwise), one ``int32`` gather per column, so the count
+arrays behind every entropy are those of factorizing the decoded rows, for
+any chunk size.  The relation's store is seeded from those codes, and its row
 tuples are decoded only when something reads them.
 """
 
@@ -43,7 +46,12 @@ from operator import itemgetter
 import numpy as np
 
 from repro.errors import SchemaError
-from repro.relations.columns import ColumnStore, _encode_column
+from repro.relations.columns import (
+    ColumnStore,
+    _encode_column,
+    as_codes,
+    code_dtype,
+)
 from repro.relations.io import _coerce
 from repro.relations.relation import _distinct_row_indices
 from repro.relations.schema import RelationSchema, Row
@@ -63,7 +71,7 @@ def _canonical_column(
     present[codes] = True
     if not present.all():  # values an appended-to store no longer holds
         kept = np.flatnonzero(present)
-        compact = np.zeros(len(values), dtype=np.int64)
+        compact = np.zeros(len(values), dtype=code_dtype(len(kept)))
         compact[kept] = np.arange(len(kept))
         codes = compact[codes]
         values = [values[c] for c in kept.tolist()]
@@ -71,11 +79,40 @@ def _canonical_column(
     if card < len(values):
         # numpy merged values Python keeps apart (2**53 + 1 vs 2.0**53):
         # keep them apart in first-seen order.
-        target, card = np.arange(len(values)), len(values)
+        card = len(values)
+        target = as_codes(np.arange(card), card)
     decoder = list(range(card))
     for value, code in zip(values, target.tolist()):
         decoder[code] = value
     return target[codes], card, decoder
+
+
+class _Lookup(dict):
+    """A ``key → code`` dict that codes a key it lacks on first lookup.
+
+    ``miss(key)`` gives a missing key's code, which the lookup keeps, so
+    coding a column is one pass of ``lookup[cell]`` over its cells.
+    """
+
+    __slots__ = ("miss",)
+
+    def __init__(self, miss, items=()) -> None:
+        super().__init__(items)
+        self.miss = miss
+
+    def __missing__(self, key):
+        code = self[key] = self.miss(key)
+        return code
+
+
+def _value_lookup(decoder: list, items=()) -> _Lookup:
+    """A column's ``value → code`` encoder: a new value takes the next code."""
+
+    def append(value) -> int:
+        decoder.append(value)
+        return len(decoder) - 1
+
+    return _Lookup(append, items)
 
 
 class ColumnStoreBuilder:
@@ -98,9 +135,9 @@ class ColumnStoreBuilder:
         if arity < 1:
             raise SchemaError(f"arity must be >= 1, got {arity}")
         self._arity = arity
-        self._tokens: list[dict] = [{} for _ in range(arity)]
-        self._encoders: list[dict] = [{} for _ in range(arity)]
         self._decoders: list[list] = [[] for _ in range(arity)]
+        self._encoders = [_value_lookup(d) for d in self._decoders]
+        self._tokens = [_Lookup(None) for _ in range(arity)]
         self._distinct = np.empty((0, arity), dtype=np.int64)
         self._seen: set[tuple[int, ...]] | None = None
         self._n = 0
@@ -133,12 +170,15 @@ class ColumnStoreBuilder:
         builder = cls(arity)
         builder._decoders = [list(d) for d in _derive_decoders(relation)]
         builder._encoders = [
-            {
-                decoder[code]: code
-                for code in np.flatnonzero(
-                    np.bincount(store.codes[j], minlength=len(decoder))
-                ).tolist()
-            }
+            _value_lookup(
+                decoder,
+                {
+                    decoder[code]: code
+                    for code in np.flatnonzero(
+                        np.bincount(store.codes[j], minlength=len(decoder))
+                    ).tolist()
+                },
+            )
             for j, decoder in enumerate(builder._decoders)
         ]
         if store.n_rows:
@@ -184,16 +224,6 @@ class ColumnStoreBuilder:
             )
         )
 
-    def _code(self, position: int, value) -> int:
-        """The code of ``value`` in one column, assigning the next if new."""
-        encoder = self._encoders[position]
-        code = encoder.get(value)
-        if code is None:
-            decoder = self._decoders[position]
-            code = encoder[value] = len(decoder)
-            decoder.append(value)
-        return code
-
     def add_tokens(
         self, rows: Iterable[Sequence[str]], typed: bool = True
     ) -> None:
@@ -205,7 +235,13 @@ class ColumnStoreBuilder:
         the token is the value.  Only integer codes of the chunk's
         globally new distinct rows are retained.
         """
-        self._add(rows, self._tokens, _coerce if typed else None)
+        for tokens, encoder in zip(self._tokens, self._encoders):
+            tokens.miss = (
+                (lambda token, encoder=encoder: encoder[_coerce(token)])
+                if typed
+                else encoder.__getitem__
+            )
+        self._add(rows, self._tokens)
 
     def add_rows(self, rows: Iterable[Sequence]) -> None:
         """Ingest one chunk of row tuples of values.
@@ -215,13 +251,13 @@ class ColumnStoreBuilder:
         Python objects can be garbage-collected by the caller immediately
         after this returns.
         """
-        self._add(rows, self._encoders, None)
+        self._add(rows, self._encoders)
 
-    def _add(self, rows, lookups: list[dict], convert) -> None:
+    def _add(self, rows, lookups: list[_Lookup]) -> None:
         """Code one chunk column by column through the ``lookups[j]`` dicts.
 
-        A cell new to its column's lookup is converted by ``convert``
-        (when given) and coded by the column's value encoder.
+        A cell new to its column's lookup is coded by the lookup's
+        ``miss``, so each column is one pass over its cells.
         """
         if self._finished:
             raise SchemaError("builder already finished")
@@ -233,20 +269,18 @@ class ColumnStoreBuilder:
             )
         if not rows:
             return
-        coded = []
-        for j, lookup in enumerate(lookups):
-            # itemgetter, not zip(*rows): zip holds one tracked iterator
-            # per row, which drives full garbage collections.
-            column = list(map(itemgetter(j), rows))
-            for cell in dict.fromkeys(column):
-                if cell not in lookup:
-                    lookup[cell] = self._code(
-                        j, cell if convert is None else convert(cell)
-                    )
-            coded.append(
-                np.fromiter(map(lookup.__getitem__, column), np.int64, len(rows))
-            )
-        self._add_codes(coded)
+        # itemgetter, not zip(*rows): zip holds one tracked iterator per
+        # row, which drives full garbage collections.
+        self._add_codes(
+            [
+                np.fromiter(
+                    map(lookup.__getitem__, map(itemgetter(j), rows)),
+                    np.int64,
+                    len(rows),
+                )
+                for j, lookup in enumerate(lookups)
+            ]
+        )
 
     def _add_codes(self, columns: list[np.ndarray]) -> None:
         """Retain the globally new distinct rows of one coded chunk."""

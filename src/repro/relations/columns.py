@@ -1,11 +1,14 @@
 """Columnar backing store: integer-coded attribute columns for a relation.
 
 A :class:`ColumnStore` factorizes each attribute of a relation exactly once
-into a dense ``int64`` *code* array.  Every multiplicity query over an
-attribute subset — the workhorse behind ``H(Y)``, CMI, and the J-measure —
+into a dense *code* array: ``int32``, or ``int64`` for a column of ``2^31``
+or more distinct values (:func:`code_dtype`).  Every multiplicity query over
+an attribute subset — the workhorse behind ``H(Y)``, CMI, and the J-measure —
 then reduces to a mixed-radix pack of the subset's code columns followed by
 one :func:`numpy.bincount` or one sort: no Python-level row iteration or
-tuple hashing.
+tuple hashing.  The packed key stays ``int32`` while the subset's running
+radix is below ``2^31`` and widens to ``int64`` past it; narrow keys halve
+the memory traffic of the pack and make the sort cheaper.
 
 Column coding picks the cheapest safe representation:
 
@@ -50,6 +53,19 @@ import numpy as np
 #: when the running radix product would cross it, the partial key is
 #: re-compressed with :func:`numpy.unique` (bounding the radix by ``N``).
 _MAX_PACK = 1 << 62
+
+#: Keys and code columns whose radix (cardinality) is below this are int32.
+_INT32_RADIX = 1 << 31
+
+
+def code_dtype(card: int) -> np.dtype:
+    """The in-memory dtype of a code column whose codes lie in ``[0, card)``."""
+    return np.dtype(np.int32 if card < _INT32_RADIX else np.int64)
+
+
+def as_codes(codes, card: int) -> np.ndarray:
+    """``codes`` as a :func:`code_dtype` array (no copy when it already is)."""
+    return np.asarray(codes).astype(code_dtype(card), copy=False)
 
 
 def _dense_limit(n: int) -> int:
@@ -142,30 +158,24 @@ def _encode_column(
     if candidate is not None:
         kind = candidate.dtype.kind
         if kind in "iub":
-            codes = candidate.astype(np.int64, copy=False)
             if n == 0:
-                return codes, 0, None
-            lo = int(codes.min())
-            hi = int(codes.max())
+                return as_codes(candidate, 0), 0, None
+            lo = int(candidate.min())
+            hi = int(candidate.max())
             if lo >= 0 and hi < limit:
-                return codes, hi + 1, None  # identity coding: no unique
-            uniques, inverse = np.unique(codes, return_inverse=True)
-            return (
-                inverse.astype(np.int64, copy=False),
-                len(uniques),
-                uniques.tolist(),
+                # identity coding: no unique
+                return as_codes(candidate, hi + 1), hi + 1, None
+            uniques, inverse = np.unique(
+                candidate.astype(np.int64, copy=False), return_inverse=True
             )
+            return as_codes(inverse, len(uniques)), len(uniques), uniques.tolist()
         if (kind == "f" and not np.isnan(candidate).any()) or (
             kind in "US" and all(type(v) is str for v in values)
         ):
             uniques, inverse = np.unique(candidate, return_inverse=True)
-            return (
-                inverse.astype(np.int64, copy=False),
-                len(uniques),
-                uniques.tolist(),
-            )
+            return as_codes(inverse, len(uniques)), len(uniques), uniques.tolist()
 
-    codes = np.empty(n, dtype=np.int64)
+    codes = np.empty(n, dtype=code_dtype(n))  # at most n distinct values
     encoder: dict = {}
     for i, value in enumerate(values):
         code = encoder.get(value)
@@ -230,8 +240,8 @@ class ColumnStore:
         store = cls.__new__(cls)
         store._row_list = row_list
         store.n_rows = len(row_list)
-        store.codes = tuple(columns)
         store.cards = tuple(int(c) for c in cards)
+        store.codes = tuple(map(as_codes, columns, store.cards))
         store._decoders = [None] * len(store.codes)
         store._encoders = [None] * len(store.codes)
         store._cells = {}
@@ -262,8 +272,8 @@ class ColumnStore:
             if row_list is not None
             else (int(columns[0].shape[0]) if columns else 0)
         )
-        store.codes = tuple(columns)
         store.cards = tuple(int(c) for c in cards)
+        store.codes = tuple(map(as_codes, columns, store.cards))
         store._decoders = list(decoders)
         store._encoders = [None] * len(store.codes)
         store._cells = {}
@@ -344,12 +354,13 @@ class ColumnStore:
         """Mixed-radix pack of the code columns at ``positions``.
 
         Two rows get equal keys iff they agree on all the positions.  The
-        running radix is kept below ``2^62`` by re-compressing the partial
-        key with :func:`numpy.unique` whenever the next column would
-        overflow, so the packing is exact for any ``N`` and cardinalities.
-        ``rows`` packs only those rows, in that order; a re-compression
-        then numbers the keys among them alone, so keys to be compared
-        must come from one call.
+        key is ``int32`` while the running radix is below ``2^31`` and
+        ``int64`` past it.  The radix is kept below ``2^62`` by
+        re-compressing the partial key with :func:`numpy.unique` whenever
+        the next column would overflow, so the packing is exact for any
+        ``N`` and cardinalities.  ``rows`` packs only those rows, in that
+        order; a re-compression then numbers the keys among them alone,
+        so keys to be compared must come from one call.
         """
         codes = self.codes
 
@@ -365,8 +376,10 @@ class ColumnStore:
             if radix * card >= _MAX_PACK:
                 uniques, key = np.unique(key, return_inverse=True)
                 radix = max(len(uniques), 1)
-            key = key * card + column(position)
             radix *= card
+            if radix >= _INT32_RADIX and key.dtype != np.int64:
+                key = key.astype(np.int64)
+            key = key * card + column(position)
         return key
 
     def dense_radix(self, positions: Sequence[int]) -> int | None:
@@ -396,7 +409,7 @@ class ColumnStore:
         n = self.n_rows
         if n and self.dense_radix(positions) is not None:
             counts = np.bincount(key)
-            return counts[counts > 0]
+            return np.compress(counts > 0, counts)
         return np.diff(_run_starts(np.sort(key)), append=n)
 
     def cells(self, positions: Sequence[int]) -> CellRecord:
@@ -412,7 +425,7 @@ class ColumnStore:
             return cached
         perm, starts = _argsort_runs(self.packed_key(cache_key))
         n = self.n_rows
-        dtype = np.int32 if n < (1 << 31) else np.int64
+        dtype = code_dtype(n)
         first_index = np.minimum.reduceat(perm, starts).astype(dtype)
         counts = np.diff(starts, append=n).astype(dtype)
         first_index.flags.writeable = False  # shared cached arrays

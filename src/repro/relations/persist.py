@@ -3,7 +3,8 @@
 A **snapshot** is a directory holding one relation in exactly the form
 the in-memory :class:`~repro.relations.columns.ColumnStore` wants it:
 
-* ``col-NNN.npy`` — one contiguous ``int64`` code array per attribute,
+* ``col-NNN.npy`` — one contiguous code array per attribute, in the
+  narrowest unsigned dtype that holds its codes (:func:`code_dtype_for`),
   written with :func:`numpy.save` so it reloads with
   ``numpy.load(..., mmap_mode="r")`` — no parsing, no factorization,
   no per-value coercion;
@@ -58,7 +59,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import SnapshotError
-from repro.relations.columns import ColumnStore
+from repro.relations.columns import ColumnStore, as_codes
 from repro.relations.io import _NAN
 from repro.relations.schema import Attribute, RelationSchema
 
@@ -66,7 +67,9 @@ FORMAT_NAME = "repro-columnar-snapshot"
 #: Current write version.  Version 1 stored every code column as int64;
 #: version 2 narrows each column to the smallest unsigned dtype that can
 #: hold ``card - 1`` (uint8/16/32, falling back to int64 past 2**32).
-#: Loads accept both and always hand the engine int64 arrays.
+#: Loads accept both and hand the engine the store's in-memory dtype:
+#: int32 code arrays (int64 past 2**31), see
+#: :func:`repro.relations.columns.code_dtype`.
 FORMAT_VERSION = 2
 SUPPORTED_VERSIONS = (1, 2)
 META_FILE = "meta.json"
@@ -679,12 +682,11 @@ def load_snapshot(
                 f"snapshot column {path / name} has codes outside "
                 f"[0, {card}); the snapshot is corrupt"
             )
-        if arr.dtype != np.int64:
-            # The in-memory contract is int64 (ColumnStore.packed_key
-            # does mixed-radix arithmetic that would overflow narrow
-            # unsigned arrays).  One vectorized widen — still zero-parse.
-            arr = arr.astype(np.int64)
-        columns.append(arr)
+        # The in-memory contract is int32 codes (int64 past 2**31), signed
+        # because ColumnStore.packed_key does mixed-radix arithmetic that
+        # would wrap in narrow unsigned arrays.  Loads narrow to it with
+        # one vectorized cast — still zero-parse.
+        columns.append(as_codes(arr, card))
     decoders = [
         [_untag_value(tagged) for tagged in dec] for dec in meta["decoders"]
     ]

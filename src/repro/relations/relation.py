@@ -8,8 +8,8 @@ workhorse for all empirical-entropy computations.
 
 Internally a relation holds a **columnar store**
 (:class:`repro.relations.columns.ColumnStore`): each attribute as a dense
-``int64`` code array, after which every multiplicity query over any
-attribute subset (``projection_counts``,
+``int32`` code array (``int64`` past ``2^31`` values), after which every
+multiplicity query over any attribute subset (``projection_counts``,
 :meth:`Relation.projection_count_values`, :meth:`Relation.projection_size`,
 :meth:`Relation.project`, :meth:`Relation.select_eq`) is a vectorized
 mixed-radix pack + one ``bincount`` or sort — no per-row Python iteration.
@@ -355,8 +355,8 @@ class Relation:
     ) -> "Relation":
         """Load a relation from an on-disk columnar snapshot — zero parsing.
 
-        The snapshot's ``int64`` code arrays are memory-mapped (or copied
-        with ``mmap=False``) and adopted via the
+        The snapshot's code arrays are memory-mapped (or copied with
+        ``mmap=False``), narrowed to ``int32``, and adopted via the
         :meth:`ColumnStore.from_coded_columns` zero-factorization path,
         so the result is immediately query-ready and bit-identical to
         the saved relation.  See :func:`repro.relations.persist.load_snapshot`
@@ -460,7 +460,7 @@ class Relation:
     def columns(self) -> ColumnStore:
         """The relation's columnar store (seeded at load, or built once).
 
-        Each attribute is a dense ``int64`` code array; multiplicity
+        Each attribute is a dense ``int32`` code array; multiplicity
         queries over attribute subsets are answered by mixed-radix packing
         + one ``bincount`` or sort, and each subset's cells (representative
         rows and counts) are cached.
@@ -609,7 +609,7 @@ class Relation:
 
         Vectorized via the code columns: the value is looked up in the
         attribute's encoder and the matching rows come from one boolean
-        mask over the ``int64`` codes.  Tiny relations without a built
+        mask over the codes.  Tiny relations without a built
         store use a plain scan (building columns would cost more).
         """
         pos = self._schema.index(name)

@@ -284,7 +284,11 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             if stall is not None and stall.delay_s:
                 time.sleep(stall.delay_s)
             truncate = faults.fire("http.truncate") is not None
-        body = json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")
+        # Compact separators keep json on its C encoder; indent=2 falls
+        # back to the pure-Python one, about 3x slower per body.
+        body = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode(
+            "utf-8"
+        )
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))

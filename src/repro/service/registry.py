@@ -32,8 +32,8 @@ A later successful re-ingest or re-registration heals the entry.
 Persistent snapshots (see :mod:`repro.relations.persist`): with a spill
 directory configured, every admitted dataset is also written as an
 on-disk **columnar snapshot** beside the spill CSV.  Eviction reloads
-and warm restarts then prefer the snapshot — a zero-parse ``mmap`` of
-the ``int64`` code arrays, ~10-100x faster than re-parsing CSV — and
+and warm restarts then prefer the snapshot — a zero-parse load of the
+code arrays, ~10-100x faster than re-parsing CSV — and
 fall back to the CSV source only when the snapshot is missing or fails
 verification (a corrupt snapshot is quarantined, counted, and never
 served).  A fresh registry scans the spill directory for snapshots and

@@ -313,7 +313,58 @@ class TestSketchPrimitives:
         assert (a == b).all()
 
 
+    def test_packed_chunks_exact_past_int32_radix(self):
+        """Cards multiplying past 2^31 (but below 2^62) keep the exact
+        path; int32 code columns must be widened before packing."""
+        schema = RelationSchema.from_names([f"C{i}" for i in range(4)])
+        rng = np.random.default_rng(8)
+        r = Relation.from_codes(schema, rng.integers(0, 2000, size=(3000, 4)))
+        store = r.columns()
+        assert store.codes[0].dtype == np.int32
+        for positions in [(0, 1, 2), (3, 2, 1, 0)]:
+            radix = math.prod(store.cards[p] for p in positions)
+            assert 1 << 31 < radix < 1 << 62
+            chunked = np.concatenate(
+                list(iter_packed_key_chunks(r, positions, chunk_rows=700))
+            )
+            assert chunked.dtype == np.int64
+            np.testing.assert_array_equal(chunked, store.packed_key(positions))
+
+
 class TestSketchMining:
+    def test_sketch_mine_independent_of_code_dtype(self):
+        """A sketch mine over int32 code columns whose cards multiply past
+        2^31 equals the same mine over the int64 columns."""
+        from repro.discovery.miner import mine_jointree
+
+        schema = RelationSchema.from_names([f"C{i}" for i in range(4)])
+        rng = np.random.default_rng(9)
+        # Rows come in pairs (a, b, c, ·) and (a + 1024, b, c, ·) over
+        # cards 2048: (C0, C1, C2)'s radix is 2^33, and a key wrapped to
+        # 32 bits would lose C0's top bit and merge each pair.
+        half = rng.integers(0, 2048, size=(1024, 4))
+        half[:, 0] = np.arange(1024)
+        twin = half.copy()
+        twin[:, 0] += 1024
+        twin[:, 3] = rng.integers(0, 2048, size=1024)
+        codes = np.concatenate([half, twin])
+        codes[:2, 1:] = [[0, 0, 0], [2047, 2047, 2047]]
+        narrow = Relation.from_codes(schema, codes)
+        wide = Relation.from_codes(schema, codes)
+        wide_store = wide.columns()
+        wide_store.codes = tuple(c.astype(np.int64) for c in wide_store.codes)
+        results = [
+            mine_jointree(
+                r, threshold=0.05, backend=SketchEntropyBackend(chunk_rows=256)
+            )
+            for r in (narrow, wide)
+        ]
+        assert narrow.columns().codes[0].dtype == np.int32
+        assert results[0].bags == results[1].bags
+        assert results[0].j_value == results[1].j_value
+        assert results[0].rho == results[1].rho
+        assert results[0].splits == results[1].splits
+
     def test_planted_mvd_recovered_by_sketch_backend(self):
         from repro.datasets import planted_mvd_relation
         from repro.discovery.miner import mine_jointree

@@ -3,9 +3,12 @@
 The reference is :func:`numpy.unique` with ``return_index``,
 ``return_inverse`` and ``return_counts`` — a stable-sort grouping that
 lives here only.  The kernel must match it bit-for-bit, dtypes included,
-on both sides of the dense limit and through the ``2^62`` re-compression
+on both sides of the dense limit, across the ``2^31`` radix where packed
+keys widen from int32 to int64, and through the ``2^62`` re-compression
 in :meth:`ColumnStore.packed_key`.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,7 +18,9 @@ from hypothesis import strategies as st
 from repro.core.random_relations import random_relation
 from repro.discovery.miner import mine_jointree
 from repro.relations.columns import _MAX_PACK, ColumnStore, _dense_limit
-from repro.relations.relation import _distinct_row_indices
+from repro.relations.io import read_csv
+from repro.relations.relation import Relation, _distinct_row_indices
+from repro.relations.schema import RelationSchema
 
 #: Cardinalities mixing constant columns with wide ones, so small stores
 #: land on both sides of the dense limit (1024 below 256 rows).
@@ -180,6 +185,89 @@ class TestEdgeCases:
             _distinct_row_indices(rows[:, :2], [card] * 2),
             reference_distinct(rows[:, :2]),
         )
+
+
+def row_oracle(store, positions):
+    """``(gids, first_index, counts)`` by a row-at-a-time pass (int64).
+
+    Identity-coded rows are their codes, so sorted value tuples are the
+    packed-key order.
+    """
+    keys = [tuple(row[p] for p in positions) for row in store.row_list]
+    order = sorted(set(keys))
+    first: dict = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    tally = Counter(keys)
+    gid = {key: g for g, key in enumerate(order)}
+    return (
+        np.array([gid[key] for key in keys], dtype=np.int64),
+        np.array([first[key] for key in order], dtype=np.int64),
+        np.array([tally[key] for key in order], dtype=np.int64),
+    )
+
+
+class TestInt32Widening:
+    """Keys pack in int32 while the radix is below 2^31 and in int64 past
+    it; where that happens must not show in any result."""
+
+    @pytest.mark.parametrize(
+        "cards, key_dtype",
+        [
+            ([1 << 16, (1 << 15) - 1], np.int32),  # radix 2^31 - 2^16
+            ([1 << 16, 1 << 15], np.int64),  # radix 2^31
+            ([1 << 16, (1 << 15) + 1], np.int64),  # radix 2^31 + 2^16
+            ([1 << 10, 1 << 10, 1 << 11], np.int64),  # widens at the third
+            ([1 << 21, 1 << 21, (1 << 20) + 1], np.int64),  # past 2^62
+        ],
+    )
+    def test_counts_cells_groups_match_row_oracle(self, cards, key_dtype):
+        rng = np.random.default_rng(len(cards) + cards[-1] % 7)
+        pools = [[0, 1, card // 2, card - 1] for card in cards]
+        rows = list(
+            dict.fromkeys(
+                tuple(int(rng.choice(pool)) for pool in pools) for _ in range(90)
+            )
+        )
+        columns = [np.array(column) for column in zip(*rows)]
+        store = make_store(columns, cards)
+        names = [f"A{j}" for j in range(len(cards))]
+        relation = Relation(RelationSchema.from_names(names), rows)
+        every = tuple(range(len(cards)))
+        for positions in [every, every[::-1]]:
+            assert store.packed_key(positions).dtype == key_dtype
+            gids, first_index, counts = row_oracle(store, positions)
+            assert_same(store.counts(positions), counts)
+            group = store.groups(positions)
+            assert_same(group.gids, gids)
+            assert_same(group.first_index, first_index)
+            assert_same(group.counts, counts)
+            cells = store.cells(positions)
+            np.testing.assert_array_equal(cells.first_index, first_index)
+            np.testing.assert_array_equal(cells.counts, counts)
+            assert cells.counts.dtype == np.int32
+        naive = relation.projection_counts_naive(names)
+        assert sorted(naive.values()) == sorted(store.counts(every).tolist())
+
+    def test_every_constructor_stores_int32_codes(self, tmp_path):
+        rows = [(1, "x", 2.5), (1, "y", 0.5), (3, "x", None), (10**12, "z", 0.5)]
+        store = ColumnStore(tuple(rows), 3)  # unique, unique, dict coding
+        identity = make_store([[0, 3, 3], [1, 0, 2]], [4, 3])
+        coded = ColumnStore.from_coded_columns(
+            None, [np.array([1, 0, 1], dtype=np.int64)], [2], [["a", "b"]]
+        )
+        path = tmp_path / "t.csv"
+        path.write_text("A,B\n1,x\n2,y\n2,x\n")
+        loaded = read_csv(path).columns()
+        for each in (store, identity, coded, loaded):
+            assert {codes.dtype for codes in each.codes} == {np.dtype(np.int32)}
+
+    def test_column_of_2_to_the_31_values_stays_int64(self):
+        store = make_store([[0, (1 << 31) - 1], [1, 0]], [1 << 31, 2])
+        assert store.codes[0].dtype == np.int64
+        assert store.codes[1].dtype == np.int32
+        assert store.packed_key((1, 0)).dtype == np.int64
+        assert store.counts((0, 1)).tolist() == [1, 1]
 
 
 def reachable_array_bytes(obj, skip) -> int:

@@ -479,11 +479,17 @@ class TestNarrowDtypes:
             assert np.load(path / column).dtype == np.uint8
         assert_identical(load_snapshot(path), original)
 
-    def test_loaded_codes_upcast_to_int64(self, tmp_path):
-        """packed_key's mixed-radix arithmetic needs int64 in memory —
-        a uint8 column would overflow silently under NEP 50."""
-        original = make_relation([(i % 4, i % 3) for i in range(24)])
+    def test_loaded_codes_narrow_to_int32(self, tmp_path):
+        """Loads hand the store signed int32 codes: packed_key's
+        mixed-radix arithmetic would overflow silently in a uint8 column
+        under NEP 50."""
+        original = make_relation(
+            [(i % 4, i % 3, i * 1009) for i in range(300)]  # uint8, uint16
+        )
         path = save_snapshot(original, tmp_path / "snap")
+        for mmap in (True, False):
+            codes = load_snapshot(path, mmap=mmap).columns().codes
+            assert {c.dtype for c in codes} == {np.dtype(np.int32)}
         reloaded = load_snapshot(path)
         engine = EntropyEngine.for_relation(reloaded)
         baseline = EntropyEngine.for_relation(original)
@@ -505,7 +511,9 @@ class TestNarrowDtypes:
             codes = np.load(path / column).astype(np.int64)
             with (path / column).open("wb") as handle:
                 np.save(handle, codes)
-        assert_identical(load_snapshot(path), original)
+        reloaded = load_snapshot(path)
+        assert_identical(reloaded, original)
+        assert {c.dtype for c in reloaded.columns().codes} == {np.dtype(np.int32)}
 
     def test_v1_snapshot_with_narrow_dtype_rejected(self, tmp_path):
         """A v1 snapshot must carry int64 columns — anything else is
