@@ -187,7 +187,6 @@ def run_append_tier(base_rows: int, seed: int, tmp_dir: Path) -> dict:
             relation,
             spill_dir / f"snapshot-{relation.fingerprint()}",
             source=source,
-            chunk_rows=None,
             chain=chain,
         )
         done = time.perf_counter()

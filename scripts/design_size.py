@@ -2,8 +2,11 @@
 
 The counters are the line count of every ``*.py`` file under ``src/``
 (as ``wc -l`` counts them), the same for ``src/repro/service/``, the
-number of ``add_argument`` calls in the CLI, and the number of
-``ServiceConfig`` fields.  The script reports only; it gates nothing.
+number of ``add_argument`` calls in the CLI, the number of
+``ServiceConfig`` fields, and the number of defaulted parameters of the
+public functions and methods under ``src/repro/service/`` (options that
+are neither CLI flags nor config fields).  The script reports only; it
+gates nothing.
 
 Usage::
 
@@ -46,6 +49,41 @@ def count_dataclass_fields(module: Path, class_name: str) -> int:
     raise SystemExit(f"class {class_name} not found in {module}")
 
 
+def _is_public(name: str) -> bool:
+    return not name.startswith("_") or name == "__init__"
+
+
+def count_keyword_params(directory: Path) -> int:
+    """Defaulted parameters of public functions and methods below ``directory``.
+
+    Module-level functions and the methods of module-level classes
+    count when their name is public (``__init__`` included, since its
+    defaults are a class's options); nested functions do not.
+    """
+    total = 0
+    for path in sorted(directory.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [
+            node
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and _is_public(cls.name):
+                functions.extend(
+                    node
+                    for node in cls.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                )
+        for function in functions:
+            if _is_public(function.name):
+                args = function.args
+                total += len(args.defaults) + sum(
+                    default is not None for default in args.kw_defaults
+                )
+    return total
+
+
 def design_size(root: Path = ROOT) -> dict:
     package = root / "src" / "repro"
     return {
@@ -55,6 +93,7 @@ def design_size(root: Path = ROOT) -> dict:
         "service_config_fields": count_dataclass_fields(
             package / "service" / "config.py", "ServiceConfig"
         ),
+        "service_keyword_params": count_keyword_params(package / "service"),
     }
 
 

@@ -295,9 +295,7 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     relation = _load_csv(args)
     relation = infer_integer_domains(relation)
-    out = save_snapshot(
-        relation, args.out, source=args.csv, extra={"chunk_rows": args.chunk_rows}
-    )
+    out = save_snapshot(relation, args.out, source=args.csv)
     _print_json(
         {
             "command": "snapshot",

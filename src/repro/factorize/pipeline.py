@@ -1,11 +1,10 @@
-"""Factorized decomposition pipeline: project, reduce, measure, persist.
+"""Factorized decomposition pipeline: project, measure, persist.
 
 The paper's end-to-end story in one module: given a universal relation
 and a join tree (user-supplied or mined), materialize the acyclic
-decomposition ``{R[Ωᵢ]}``, run Yannakakis' full semijoin reduction over
-the columnar backend, measure exactly what the factorization costs — a
-:class:`DecompositionReport` with ``J`` in both forms, ``ρ``, the
-per-split CMIs of Theorem 2.2, the spurious-tuple count from the
+decomposition ``{R[Ωᵢ]}``, measure exactly what the factorization
+costs — a :class:`DecompositionReport` with ``J`` in both forms, ``ρ``,
+the per-split CMIs of Theorem 2.2, the spurious-tuple count from the
 message-passing join counter, and the storage footprint — and optionally
 write the whole thing to disk as one CSV per bag plus a JSON report.
 
@@ -42,7 +41,7 @@ from repro.jointrees.metrics import (
 )
 from repro.relations.io import write_csv
 from repro.relations.relation import Relation
-from repro.relations.semijoin import full_reduce, projections_for_tree
+from repro.relations.semijoin import projections_for_tree
 from repro.relations.yannakakis import evaluate_acyclic_join
 
 __all__ = [
@@ -113,7 +112,7 @@ class DecompositionReport:
 
 @dataclass(frozen=True)
 class BagTable:
-    """One materialized (and fully reduced) bag of the decomposition."""
+    """One materialized bag of the decomposition."""
 
     node: int
     attributes: tuple[str, ...]
@@ -138,11 +137,12 @@ def decompose(
 ) -> Decomposition:
     """Materialize and measure the decomposition of ``relation`` by ``jointree``.
 
-    Projects every bag, applies Yannakakis' full semijoin reduction
-    (a provable no-op for projections of one instance — running it keeps
-    the pipeline honest for arbitrary inputs and costs two columnar
-    sweeps), and assembles the :class:`DecompositionReport` from the
-    shared evaluation context.
+    Projects every bag and assembles the :class:`DecompositionReport`
+    from the shared evaluation context.  The bags are the projections
+    themselves: projections of one instance are globally consistent, so
+    Yannakakis' full semijoin reduction would keep every tuple
+    (:func:`~repro.relations.semijoin.full_reduce` stays available for
+    relations built independently).
     """
     tree_attrs = jointree.attributes()
     if tree_attrs != relation.schema.name_set:
@@ -154,7 +154,7 @@ def decompose(
         raise ReproError("cannot decompose an empty relation")
     if context is None:
         context = EvalContext.for_relation(relation)
-    reduced = full_reduce(projections_for_tree(relation, jointree), jointree)
+    projections = projections_for_tree(relation, jointree)
     join_size = context.join_size(jointree)
     report = DecompositionReport(
         n_rows=len(relation),
@@ -176,8 +176,8 @@ def decompose(
     bags = tuple(
         BagTable(
             node=node,
-            attributes=reduced[node].schema.names,
-            relation=reduced[node],
+            attributes=projections[node].schema.names,
+            relation=projections[node],
         )
         for node in jointree.node_ids()
     )

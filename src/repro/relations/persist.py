@@ -7,7 +7,11 @@ the in-memory :class:`~repro.relations.columns.ColumnStore` wants it:
   narrowest unsigned dtype that holds its codes (:func:`code_dtype_for`),
   written with :func:`numpy.save` so it reloads with
   ``numpy.load(..., mmap_mode="r")`` — no parsing, no factorization,
-  no per-value coercion;
+  no per-value coercion.  The load still makes one O(N) pass per
+  column: the in-memory codes are signed ``int32``
+  (:func:`~repro.relations.columns.as_codes`), so every unsigned
+  on-disk array (and every int64 array of a version-1 snapshot) is cast
+  into a fresh in-memory copy;
 * ``meta.json`` — format marker + version, the schema's attribute
   names, row count, per-column cardinalities, per-column **decoder**
   lists (``decoder[code] = value``, values tagged by type so ints,
@@ -634,7 +638,9 @@ def load_snapshot(
     admitted); ``verify_content=True`` re-hashes the decoded rows
     against the recorded fingerprint (O(N); tests and audits only —
     save already guaranteed it).  ``mmap`` maps the code arrays
-    read-only instead of copying them into memory.  ``domains=True``
+    read-only instead of reading them into memory first; either way
+    each column is range-checked and cast to its ``int32`` in-memory
+    form, one O(N) pass and one O(N) copy per column.  ``domains=True
     declares each attribute's active domain on the schema (equivalent
     to :func:`~repro.relations.io.infer_integer_domains`, computed
     vectorized from the decoders).
@@ -684,8 +690,8 @@ def load_snapshot(
             )
         # The in-memory contract is int32 codes (int64 past 2**31), signed
         # because ColumnStore.packed_key does mixed-radix arithmetic that
-        # would wrap in narrow unsigned arrays.  Loads narrow to it with
-        # one vectorized cast — still zero-parse.
+        # would wrap in narrow unsigned arrays.  Loads convert with one
+        # vectorized cast per column: zero-parse, but an O(N) copy.
         columns.append(as_codes(arr, card))
     decoders = [
         [_untag_value(tagged) for tagged in dec] for dec in meta["decoders"]
@@ -808,7 +814,6 @@ def hydrate_relation(
     expected_fingerprint: str,
     snapshot_path: str | Path | None = None,
     source: str | None = None,
-    chunk_rows: int | None = None,
     check=None,
     on_reject=None,
 ):
@@ -820,7 +825,8 @@ def hydrate_relation(
     the front end ships (snapshot directory, CSV source path) instead of
     a pickled relation.  The order is fixed:
 
-    1. the columnar snapshot (mmap + decode-free assembly), with the
+    1. the columnar snapshot (one int32 cast per mapped column, no
+       parsing or decoding), with the
        entropy-memo sidecar merged into the relation's engine so a
        reloaded or rehomed dataset starts warm;
     2. the CSV source, re-ingested exactly like registration and
@@ -872,9 +878,7 @@ def hydrate_relation(
     try:
         if check is not None:
             check("csv")
-        relation = infer_integer_domains(
-            Relation.from_csv_stream(source, chunk_rows=chunk_rows)
-        )
+        relation = infer_integer_domains(Relation.from_csv_stream(source))
     except Exception as exc:  # an unreadable source, however it fails
         raise SnapshotError(
             f"re-ingesting dataset {expected_fingerprint} from {source} "

@@ -355,8 +355,9 @@ class Relation:
     ) -> "Relation":
         """Load a relation from an on-disk columnar snapshot — zero parsing.
 
-        The snapshot's code arrays are memory-mapped (or copied with
-        ``mmap=False``), narrowed to ``int32``, and adopted via the
+        The snapshot's code arrays are memory-mapped (or read with
+        ``mmap=False``), cast to ``int32`` (an O(N) copy per column: no
+        load stays zero-copy), and adopted via the
         :meth:`ColumnStore.from_coded_columns` zero-factorization path,
         so the result is immediately query-ready and bit-identical to
         the saved relation.  See :func:`repro.relations.persist.load_snapshot`

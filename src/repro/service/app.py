@@ -51,7 +51,6 @@ class Service:
             log_sink=self.config.request_log_path,
             log_capacity=self.config.request_log_capacity,
             faults=self.faults,
-            proc="frontend",
         )
         metrics = self.telemetry.metrics
         self.registry = DatasetRegistry(
@@ -330,8 +329,8 @@ class Service:
             "workers": self.config.workers,
             "workers_alive": jobs_stats["workers_alive"],
             "degraded_datasets": degraded_datasets,
-            "quarantined_spills": self.cache.quarantined,
-            "worker_crashes": self.jobs.worker_crashes,
+            "quarantined_spills": self.cache.stats()["quarantined"],
+            "worker_crashes": jobs_stats["worker_crashes"],
             "breakers": {
                 operation: breaker["state"]
                 for operation, breaker in breakers.items()

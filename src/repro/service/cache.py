@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 import time
 from collections import OrderedDict
@@ -45,6 +44,7 @@ from pathlib import Path
 
 from repro.errors import ReproError, ServiceError
 from repro.factorize.report import validate_report
+from repro.relations.persist import atomic_write_text
 from repro.service.faults import DISABLED, FaultPlan
 from repro.service.telemetry import MetricsRegistry
 
@@ -112,32 +112,6 @@ class ResultCache:
             "cache_invalidated_total", "Entries explicitly invalidated"
         )
         self.last_quarantine_at: float | None = None  # time.monotonic()
-
-    # Counter attributes stay readable (health checks, tests) while the
-    # values live on the metrics registry.
-    @property
-    def hits(self) -> int:
-        return int(self._c_hits.value())
-
-    @property
-    def misses(self) -> int:
-        return int(self._c_misses.value())
-
-    @property
-    def spill_loads(self) -> int:
-        return int(self._c_spill_loads.value())
-
-    @property
-    def spill_writes(self) -> int:
-        return int(self._c_spill_writes.value())
-
-    @property
-    def quarantined(self) -> int:
-        return int(self._c_quarantined.value())
-
-    @property
-    def invalidated(self) -> int:
-        return int(self._c_invalidated.value())
 
     # ------------------------------------------------------------------
     def _spill_path(self, key: str) -> Path | None:
@@ -246,22 +220,13 @@ class ResultCache:
         if document is None:
             return
         path = self._spill_path(document["key"])
+        # Compact, so json's C encoder writes it; indented spills from
+        # older builds still load.
+        text = json.dumps(document, sort_keys=True, separators=(",", ":"))
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
-            with open(tmp, "w", encoding="utf-8") as handle:
-                # Compact, so json's C encoder writes it; indented spills
-                # from older builds still load.
-                handle.write(
-                    json.dumps(document, sort_keys=True, separators=(",", ":"))
-                    + "\n"
-                )
-                handle.flush()
-                # Durability before visibility: without the fsync, a
-                # hard kill after the rename could surface an
-                # empty-but-renamed entry from the page cache.
-                os.fsync(handle.fileno())
-            tmp.replace(path)  # atomic: readers never see a torn file
+            # A temp file per writer thread, fsynced before the rename:
+            # two jobs spilling one key never share a temp inode.
+            atomic_write_text(path, text + "\n")
             if self._faults.fire("cache.spill_write_torn"):
                 # Chaos: simulate a crash that tore the entry on
                 # disk (e.g. pre-fsync-discipline corruption) — the
@@ -347,18 +312,19 @@ class ResultCache:
     def stats(self) -> dict:
         """JSON-ready cache summary (part of ``GET /stats``)."""
         with self._lock:
-            lookups = self.hits + self.misses
+            hits = int(self._c_hits.value())
+            misses = int(self._c_misses.value())
             return {
                 "entries": len(self._entries),
                 "max_entries": self._max_entries,
-                "hits": self.hits,
-                "misses": self.misses,
-                "hit_rate": self.hits / lookups if lookups else 0.0,
+                "hits": hits,
+                "misses": misses,
+                "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
                 "spill_dir": (
                     str(self._spill_dir) if self._spill_dir is not None else None
                 ),
-                "spill_loads": self.spill_loads,
-                "spill_writes": self.spill_writes,
-                "quarantined": self.quarantined,
-                "invalidated": self.invalidated,
+                "spill_loads": int(self._c_spill_loads.value()),
+                "spill_writes": int(self._c_spill_writes.value()),
+                "quarantined": int(self._c_quarantined.value()),
+                "invalidated": int(self._c_invalidated.value()),
             }

@@ -283,7 +283,6 @@ class ServiceClient:
         *,
         path: str | None = None,
         csv: str | None = None,
-        chunk_rows: int | None = None,
         name: str | None = None,
     ) -> dict:
         """Register a dataset by server-local path or inline CSV text."""
@@ -292,8 +291,6 @@ class ServiceClient:
             body["path"] = str(path)
         if csv is not None:
             body["csv"] = csv
-        if chunk_rows is not None:
-            body["chunk_rows"] = chunk_rows
         if name is not None:
             body["name"] = name
         return self._request("POST", "/v1/datasets", body)

@@ -102,6 +102,15 @@ DISPATCH_GRACE_S = 30.0
 #: running this many requests blocks its submitting queue thread.
 WORKER_INFLIGHT = 8
 
+#: Seconds between the monitor's heartbeat rounds.
+HEARTBEAT_INTERVAL_S = 1.0
+
+#: A worker whose last pong is older than this is killed and respawned.
+HEARTBEAT_TIMEOUT_S = 15.0
+
+#: How long a (re)spawned worker may take to connect and handshake.
+SPAWN_TIMEOUT_S = 60.0
+
 #: Hydrated datasets one worker keeps resident (LRU); the oldest beyond
 #: it is dropped and re-hydrates from its snapshot on next use.
 WORKER_MAX_RESIDENT = 16
@@ -208,9 +217,6 @@ class ClusterSupervisor:
         worker_procs: int,
         registry,
         faults: FaultPlan | None = None,
-        heartbeat_interval_s: float = 1.0,
-        heartbeat_timeout_s: float = 15.0,
-        spawn_timeout_s: float = 60.0,
         telemetry: Telemetry | None = None,
     ) -> None:
         if worker_procs < 1:
@@ -220,9 +226,6 @@ class ClusterSupervisor:
         self._registry = registry
         self._faults = faults if faults is not None else DISABLED
         self._shards = ShardMap(worker_procs)
-        self._heartbeat_interval_s = heartbeat_interval_s
-        self._heartbeat_timeout_s = heartbeat_timeout_s
-        self._spawn_timeout_s = spawn_timeout_s
         self._token = secrets.token_hex(16)
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
@@ -234,8 +237,7 @@ class ClusterSupervisor:
         self._procs: dict[int, subprocess.Popen] = {}
         self._reaped: set[int] = set()  # ids of WorkerHandle objects already accounted
         # Counters live on the shared metrics registry (a private one
-        # when constructed standalone); read-only properties preserve
-        # the original attribute names for /stats, health, and tests.
+        # when constructed standalone).
         self._telemetry = telemetry
         metrics = telemetry.metrics if telemetry is not None else MetricsRegistry()
         self._c_dispatched = metrics.counter(
@@ -284,29 +286,6 @@ class ClusterSupervisor:
     @property
     def worker_procs(self) -> int:
         return self._shards.worker_procs
-
-    @property
-    def dispatched(self) -> int:
-        return int(self._c_dispatched.value())
-
-    @property
-    def dispatch_failures(self) -> int:
-        return int(self._c_dispatch_failures.value())
-
-    @property
-    def worker_crashes(self) -> int:
-        return int(self._c_worker_crashes.value())
-
-    @property
-    def worker_respawns(self) -> int:
-        return int(self._c_worker_respawns.value())
-
-    @property
-    def hydrations(self) -> dict:
-        return {
-            series["labels"][0]: int(series["value"])
-            for series in self._c_hydrations.series()
-        }
 
     def slot_for(self, fingerprint: str) -> int:
         """The shard slot owning ``fingerprint`` (observability hook)."""
@@ -397,7 +376,7 @@ class ClusterSupervisor:
                 self._cond.notify_all()
 
     def _await_all_alive(self) -> None:
-        deadline = time.monotonic() + self._spawn_timeout_s
+        deadline = time.monotonic() + SPAWN_TIMEOUT_S
         with self._cond:
             while True:
                 missing = [
@@ -411,13 +390,13 @@ class ClusterSupervisor:
                 if remaining <= 0:
                     raise ServiceError(
                         f"worker process(es) {missing} never connected within "
-                        f"{self._spawn_timeout_s:g}s"
+                        f"{SPAWN_TIMEOUT_S:g}s"
                     )
                 self._cond.wait(min(remaining, 0.25))
 
     def _live_handle(self, worker_id: int) -> WorkerHandle:
         """The live handle for a shard slot, waiting out a respawn."""
-        deadline = time.monotonic() + self._spawn_timeout_s
+        deadline = time.monotonic() + SPAWN_TIMEOUT_S
         with self._cond:
             while True:
                 if self._closed:
@@ -429,7 +408,7 @@ class ClusterSupervisor:
                 if remaining <= 0:
                     raise DispatchError(
                         f"shard {worker_id} has no live worker (respawn did "
-                        f"not complete within {self._spawn_timeout_s:g}s)"
+                        f"not complete within {SPAWN_TIMEOUT_S:g}s)"
                     )
                 self._cond.wait(min(remaining, 0.25))
 
@@ -451,14 +430,14 @@ class ClusterSupervisor:
                     )
                 if (
                     handle.alive
-                    and handle.heartbeat_age_s() > self._heartbeat_timeout_s
+                    and handle.heartbeat_age_s() > HEARTBEAT_TIMEOUT_S
                 ):
                     try:
                         handle.process.kill()
                     except OSError:
                         pass
                     handle.mark_dead(
-                        f"missed heartbeats for {self._heartbeat_timeout_s:g}s"
+                        f"missed heartbeats for {HEARTBEAT_TIMEOUT_S:g}s"
                     )
                 if handle.alive:
                     handle.ping()
@@ -468,7 +447,7 @@ class ClusterSupervisor:
                         tele.workers.update(worker_id, snapshot)
                 else:
                     self._reap_and_respawn(worker_id, handle)
-            time.sleep(self._heartbeat_interval_s)
+            time.sleep(HEARTBEAT_INTERVAL_S)
 
     def _reap_and_respawn(self, worker_id: int, handle: WorkerHandle) -> None:
         """Account one dead worker and put a replacement in its slot."""
@@ -547,11 +526,7 @@ class ClusterSupervisor:
                 # the request and the worker dies abruptly upon reading it.
                 body["inject"] = "worker_exit"
         spec = self._registry.hydration_spec(fingerprint)
-        body.update(
-            snapshot_dir=spec["snapshot_dir"],
-            source=spec["source"],
-            chunk_rows=spec["chunk_rows"],
-        )
+        body.update(snapshot_dir=spec["snapshot_dir"], source=spec["source"])
         worker_id = self._shards.owner(fingerprint)
         handle = self._live_handle(worker_id)
         try:
@@ -707,11 +682,14 @@ class ClusterSupervisor:
                 "worker_procs": self._shards.worker_procs,
                 "alive": alive,
                 "port": self._port,
-                "dispatched": self.dispatched,
-                "dispatch_failures": self.dispatch_failures,
-                "worker_crashes": self.worker_crashes,
-                "worker_respawns": self.worker_respawns,
-                "hydrations": dict(self.hydrations),
+                "dispatched": int(self._c_dispatched.value()),
+                "dispatch_failures": int(self._c_dispatch_failures.value()),
+                "worker_crashes": int(self._c_worker_crashes.value()),
+                "worker_respawns": int(self._c_worker_respawns.value()),
+                "hydrations": {
+                    series["labels"][0]: int(series["value"])
+                    for series in self._c_hydrations.series()
+                },
                 "max_inflight": WORKER_INFLIGHT,
                 "shards": shards,
                 "workers": workers,
@@ -835,7 +813,6 @@ class _WorkerRuntime:
             expected_fingerprint=fingerprint,
             snapshot_path=message.get("snapshot_dir"),
             source=message.get("source"),
-            chunk_rows=message.get("chunk_rows"),
         )
         self._keep(fingerprint, relation)
         return relation, origin
@@ -962,7 +939,6 @@ class _WorkerRuntime:
                 appended,
                 spill_dir / f"snapshot-{info['fingerprint']}",
                 source=spill_csv(appended, spill_dir),
-                chunk_rows=message.get("chunk_rows"),
                 chain=info["chain"],
             )
             self._relations.pop(message["fingerprint"], None)

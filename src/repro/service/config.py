@@ -41,8 +41,9 @@ class ServiceConfig:
     spill_dir:
         Directory for the result cache's on-disk spill, inline CSV
         uploads, and the persistent columnar snapshots that eviction
-        reloads and warm restarts prefer (zero-parse mmap instead of CSV
-        re-ingest); ``None`` disables all three (cache is memory-only and
+        reloads and warm restarts prefer (a zero-parse load with one
+        int32 cast per column instead of CSV re-ingest); ``None``
+        disables all three (cache is memory-only and
         inline datasets cannot be re-ingested after eviction).
     default_deadline_s:
         Deadline applied to jobs that do not set one; ``None`` means

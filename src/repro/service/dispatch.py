@@ -19,9 +19,9 @@ transport between them:
                          ``operation``, canonical ``params``,
                          ``deadline_in_s`` (remaining budget — absolute
                          monotonic times do not cross processes), the
-                         hydration references ``snapshot_dir`` / ``source``
-                         / ``chunk_rows``, and the optional ``trace`` id
-                         the worker threads into its spans and log line
+                         hydration references ``snapshot_dir`` /
+                         ``source``, and the optional ``trace`` id the
+                         worker threads into its spans and log line
   ``res``     w → f      the answer to ``req`` with the same ``id``:
                          ``ok`` + ``report`` + ``origin`` + ``resident``
                          + ``telemetry`` (trace, stage timeline,

@@ -11,19 +11,16 @@ Routes (all request/response bodies are JSON):
 ==================================  ==========================================
 ``POST /v1/datasets``               register a dataset: ``{"path": ...}``
                                     (server-local CSV) or ``{"csv": ...}``
-                                    (inline content), plus optional
-                                    ``"chunk_rows"`` for streamed ingestion.
-                                    201 with the dataset view (``"created":
-                                    false`` when the fingerprint was already
-                                    registered).
-``POST /v1/datasets/{fp}/append``   delta ingest: ``{"rows": [[...], ...]}``
-                                    or ``{"csv": ...}`` or ``{"path": ...}``
-                                    appends rows to the registered dataset,
-                                    returning the new fingerprint, the
-                                    version chain, and the cache-revalidation
-                                    summary.  200 always (a fully
-                                    deduplicated delta is a no-op with
-                                    ``"changed": false``).
+                                    (inline content).  201 with the dataset
+                                    view (``"created": false`` when the
+                                    fingerprint was already registered).
+``POST /v1/datasets/{fp}/append``   delta ingest: ``{"csv": ...}`` or
+                                    ``{"path": ...}`` appends rows to the
+                                    registered dataset, returning the new
+                                    fingerprint, the version chain, and the
+                                    cache-revalidation summary.  200 always
+                                    (a fully deduplicated delta is a no-op
+                                    with ``"changed": false``).
 ``GET /v1/datasets``                list registered datasets (LRU → MRU).
 ``GET /v1/datasets/{fp}``           one dataset's view, or 404.  Superseded
                                     fingerprints (pre-append versions) are
@@ -535,15 +532,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     def _handle_register(self) -> None:
         body = self._read_json_body()
-        chunk_rows = body.get("chunk_rows")
-        if chunk_rows is not None and (
-            isinstance(chunk_rows, bool)
-            or not isinstance(chunk_rows, int)
-            or chunk_rows < 1
-        ):
-            raise ServiceError(
-                f"chunk_rows must be a positive integer, got {chunk_rows!r}"
-            )
         if ("path" in body) == ("csv" in body):
             raise ServiceError(
                 "register exactly one of 'path' (server-local CSV) or "
@@ -552,16 +540,12 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         if "path" in body:
             if not isinstance(body["path"], str):
                 raise ServiceError(f"path must be a string, got {body['path']!r}")
-            entry, created = self.service.registry.register_path(
-                body["path"], chunk_rows=chunk_rows
-            )
+            entry, created = self.service.registry.register_path(body["path"])
         else:
             if not isinstance(body["csv"], str):
                 raise ServiceError(f"csv must be a string, got {body['csv']!r}")
             entry, created = self.service.registry.register_text(
-                body["csv"],
-                chunk_rows=chunk_rows,
-                name=str(body.get("name", "inline")),
+                body["csv"], name=str(body.get("name", "inline"))
             )
         view = entry.describe()
         view["created"] = created

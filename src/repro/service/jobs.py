@@ -511,51 +511,6 @@ class JobQueue:
         for index in range(workers):
             self._spawn_worker(index)
 
-    # Counter attributes stay readable (health checks, tests) while the
-    # values live on the metrics registry.
-    @property
-    def coalesced(self) -> int:
-        return int(self._c_coalesced.value())
-
-    @property
-    def idempotent_replays(self) -> int:
-        return int(self._c_idempotent.value())
-
-    @property
-    def revalidated(self) -> int:
-        return int(self._c_revalidated.value())
-
-    @property
-    def revalidation_invalidated(self) -> int:
-        return int(self._c_revalidation_invalidated.value())
-
-    @property
-    def batches(self) -> int:
-        return int(self._c_batches.value())
-
-    @property
-    def batch_items(self) -> int:
-        return int(self._c_batch_items.value())
-
-    @property
-    def batch_item_cache_hits(self) -> int:
-        return int(self._c_batch_item_cache_hits.value())
-
-    @property
-    def completed(self) -> dict:
-        counts = {DONE: 0, FAILED: 0, TIMEOUT: 0}
-        for series in self._c_completed.series():
-            counts[series["labels"][0]] = int(series["value"])
-        return counts
-
-    @property
-    def worker_crashes(self) -> int:
-        return int(self._c_worker_crashes.value())
-
-    @property
-    def worker_respawns(self) -> int:
-        return int(self._c_worker_respawns.value())
-
     def _spawn_worker(self, index: int) -> None:
         thread = threading.Thread(
             target=self._worker_main,
@@ -967,7 +922,10 @@ class JobQueue:
                 "states": states,
                 # Lifetime totals: `states` only covers the retained
                 # (un-pruned) jobs, these never decrease.
-                "completed_total": dict(self.completed),
+                "completed_total": {
+                    series["labels"][0]: int(series["value"])
+                    for series in self._c_completed.series()
+                },
                 "waiting": self._queue.qsize(),
                 "max_queue": self._queue.maxsize,
                 "workers": len(self._workers),
@@ -976,15 +934,19 @@ class JobQueue:
                     for worker in self._workers
                     if worker is not None and worker.is_alive()
                 ),
-                "coalesced": self.coalesced,
-                "idempotent_replays": self.idempotent_replays,
-                "revalidated": self.revalidated,
-                "revalidation_invalidated": self.revalidation_invalidated,
-                "batches": self.batches,
-                "batch_items": self.batch_items,
-                "batch_item_cache_hits": self.batch_item_cache_hits,
-                "worker_crashes": self.worker_crashes,
-                "worker_respawns": self.worker_respawns,
+                "coalesced": int(self._c_coalesced.value()),
+                "idempotent_replays": int(self._c_idempotent.value()),
+                "revalidated": int(self._c_revalidated.value()),
+                "revalidation_invalidated": int(
+                    self._c_revalidation_invalidated.value()
+                ),
+                "batches": int(self._c_batches.value()),
+                "batch_items": int(self._c_batch_items.value()),
+                "batch_item_cache_hits": int(
+                    self._c_batch_item_cache_hits.value()
+                ),
+                "worker_crashes": int(self._c_worker_crashes.value()),
+                "worker_respawns": int(self._c_worker_respawns.value()),
                 "breakers": {
                     operation: breaker.describe()
                     for operation, breaker in self._breakers.items()

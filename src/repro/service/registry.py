@@ -188,7 +188,6 @@ def write_snapshot(
     snapshot_dir: Path,
     *,
     source: str | None,
-    chunk_rows: int | None,
     chain: dict,
 ) -> bool:
     """Save ``relation``'s snapshot unless one exists; return whether it wrote.
@@ -201,12 +200,8 @@ def write_snapshot(
     """
     if (snapshot_dir / META_FILE).exists():
         return False
-    extra: dict = {}
-    if chunk_rows is not None:
-        extra["chunk_rows"] = chunk_rows
-    if chain["version"] > 1:
-        extra[CHAIN_KEY] = chain
-    save_snapshot(relation, snapshot_dir, source=source, extra=extra or None)
+    extra = {CHAIN_KEY: chain} if chain["version"] > 1 else None
+    save_snapshot(relation, snapshot_dir, source=source, extra=extra)
     return True
 
 
@@ -223,7 +218,6 @@ class DatasetEntry:
 
     fingerprint: str
     source: str | None  # CSV path to re-ingest from (None: inline, no spill)
-    chunk_rows: int | None
     attributes: tuple[str, ...]
     n_rows: int
     n_cols: int
@@ -281,7 +275,6 @@ class DatasetEntry:
             "snapshot": self.snapshot,
             "degraded": self.degraded,
             "degraded_reason": self.degraded_reason,
-            "chunk_rows": self.chunk_rows,
             "source": self.source,
             "version": self.version,
             "chain": self.chain(),
@@ -372,63 +365,11 @@ class DatasetRegistry:
         if self._spill_dir is not None:
             self._restore_from_snapshots()
 
-    # Counter attributes stay readable while the values live on the
-    # metrics registry.
-    @property
-    def evictions(self) -> int:
-        return int(self._c_evictions.value())
-
-    @property
-    def appends(self) -> int:
-        return int(self._c_appends.value())
-
-    @property
-    def append_noops(self) -> int:
-        return int(self._c_append_noops.value())
-
-    @property
-    def append_rows_added(self) -> int:
-        return int(self._c_append_rows_added.value())
-
-    @property
-    def snapshot_writes(self) -> int:
-        return int(self._c_snapshot_writes.value())
-
-    @property
-    def snapshot_write_failures(self) -> int:
-        return int(self._c_snapshot_write_failures.value())
-
-    @property
-    def snapshot_reloads(self) -> int:
-        return int(self._c_snapshot_reloads.value())
-
-    @property
-    def csv_reloads(self) -> int:
-        return int(self._c_csv_reloads.value())
-
-    @property
-    def snapshot_quarantined(self) -> int:
-        return int(self._c_snapshot_quarantined.value())
-
-    @property
-    def restored_from_snapshot(self) -> int:
-        return int(self._c_restored_from_snapshot.value())
-
-    @property
-    def memo_spills(self) -> int:
-        return int(self._c_memo_spills.value())
-
-    @property
-    def memo_entries_restored(self) -> int:
-        return int(self._c_memo_entries_restored.value())
-
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
-    def _ingest(self, path: str, chunk_rows: int | None) -> Relation:
-        return infer_integer_domains(
-            Relation.from_csv_stream(path, chunk_rows=chunk_rows)
-        )
+    def _ingest(self, path: str) -> Relation:
+        return infer_integer_domains(Relation.from_csv_stream(path))
 
     # ------------------------------------------------------------------
     # Snapshot plumbing
@@ -476,13 +417,9 @@ class DatasetRegistry:
                 self._quarantine(snapshot_dir)
                 continue
             source = (meta.get("source") or {}).get("path")
-            chunk_rows = (meta.get("extra") or {}).get("chunk_rows")
-            if isinstance(chunk_rows, bool) or not isinstance(chunk_rows, int):
-                chunk_rows = None
             entry = DatasetEntry(
                 fingerprint=fingerprint,
                 source=source if isinstance(source, str) else None,
-                chunk_rows=chunk_rows,
                 attributes=tuple(meta["attributes"]),
                 n_rows=meta["n_rows"],
                 n_cols=len(meta["attributes"]),
@@ -516,7 +453,6 @@ class DatasetRegistry:
                 relation,
                 self._snapshot_path(entry.fingerprint),
                 source=entry.source,
-                chunk_rows=entry.chunk_rows,
                 chain=entry.chain(),
             )
         except (SnapshotError, OSError):
@@ -585,9 +521,7 @@ class DatasetRegistry:
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def register_path(
-        self, path: str | Path, *, chunk_rows: int | None = None
-    ) -> tuple[DatasetEntry, bool]:
+    def register_path(self, path: str | Path) -> tuple[DatasetEntry, bool]:
         """Ingest a server-local CSV; returns ``(entry, created)``.
 
         ``created`` is ``False`` when content with the same fingerprint
@@ -601,19 +535,13 @@ class DatasetRegistry:
         entry = self._snapshot_shortcut(path_str)
         if entry is not None:
             return entry, False
-        relation = self._ingest(path_str, chunk_rows)
-        entry, created = self._admit(
-            relation, source=path_str, chunk_rows=chunk_rows
-        )
+        relation = self._ingest(path_str)
+        entry, created = self._admit(relation, source=path_str)
         self._maybe_write_snapshot(entry, relation)
         return entry, created
 
     def register_text(
-        self,
-        csv_text: str,
-        *,
-        chunk_rows: int | None = None,
-        name: str = "inline",
+        self, csv_text: str, *, name: str = "inline"
     ) -> tuple[DatasetEntry, bool]:
         """Ingest CSV content uploaded inline (``POST /datasets`` body).
 
@@ -634,7 +562,7 @@ class DatasetRegistry:
             handle.write(csv_text)
             tmp_path = Path(handle.name)
         try:
-            relation = self._ingest(str(tmp_path), chunk_rows)
+            relation = self._ingest(str(tmp_path))
             source: str | None = None
             if self._spill_dir is not None:
                 self._spill_dir.mkdir(parents=True, exist_ok=True)
@@ -646,16 +574,14 @@ class DatasetRegistry:
                     # fingerprint and degrade the entry confusingly.
                     atomic_write_text(kept, csv_text)
                 source = str(kept)
-            entry, created = self._admit(
-                relation, source=source, chunk_rows=chunk_rows
-            )
+            entry, created = self._admit(relation, source=source)
             self._maybe_write_snapshot(entry, relation)
             return entry, created
         finally:
             tmp_path.unlink(missing_ok=True)
 
     def _admit(
-        self, relation: Relation, *, source: str | None, chunk_rows: int | None
+        self, relation: Relation, *, source: str | None
     ) -> tuple[DatasetEntry, bool]:
         fingerprint = relation.fingerprint()
         with self._lock:
@@ -667,7 +593,6 @@ class DatasetRegistry:
                     # survive eviction; re-registering the same content
                     # by path gives it one.
                     entry.source = source
-                    entry.chunk_rows = chunk_rows
                 if entry.relation is None:
                     entry.relation = relation
                     entry.resident_bytes = resident_bytes(relation)
@@ -679,7 +604,6 @@ class DatasetRegistry:
             entry = DatasetEntry(
                 fingerprint=fingerprint,
                 source=source,
-                chunk_rows=chunk_rows,
                 attributes=relation.schema.names,
                 n_rows=len(relation),
                 n_cols=relation.schema.arity,
@@ -912,7 +836,6 @@ class DatasetRegistry:
                 else None
             ),
             "source": entry.source,
-            "chunk_rows": entry.chunk_rows,
         }
 
     def note_remote_outcome(
@@ -972,7 +895,6 @@ class DatasetRegistry:
                         else None
                     ),
                     source=entry.source,
-                    chunk_rows=entry.chunk_rows,
                     check=lambda route: self._faults.check(
                         _ROUTE_FAULT_SITES[route]
                     ),
@@ -1079,21 +1001,29 @@ class DatasetRegistry:
                 "resident": len(resident),
                 "resident_bytes": sum(e.resident_bytes for e in resident),
                 "memory_budget_bytes": self._budget,
-                "evictions": self.evictions,
+                "evictions": int(self._c_evictions.value()),
                 "degraded": sum(e.degraded for e in self._entries.values()),
-                "appends": self.appends,
-                "append_noops": self.append_noops,
-                "append_rows_added": self.append_rows_added,
+                "appends": int(self._c_appends.value()),
+                "append_noops": int(self._c_append_noops.value()),
+                "append_rows_added": int(self._c_append_rows_added.value()),
                 "aliases": len(self._aliases),
                 "snapshots_enabled": self._spill_dir is not None,
-                "snapshot_writes": self.snapshot_writes,
-                "snapshot_write_failures": self.snapshot_write_failures,
-                "snapshot_reloads": self.snapshot_reloads,
-                "csv_reloads": self.csv_reloads,
-                "snapshot_quarantined": self.snapshot_quarantined,
-                "restored_from_snapshot": self.restored_from_snapshot,
-                "memo_spills": self.memo_spills,
-                "memo_entries_restored": self.memo_entries_restored,
+                "snapshot_writes": int(self._c_snapshot_writes.value()),
+                "snapshot_write_failures": int(
+                    self._c_snapshot_write_failures.value()
+                ),
+                "snapshot_reloads": int(self._c_snapshot_reloads.value()),
+                "csv_reloads": int(self._c_csv_reloads.value()),
+                "snapshot_quarantined": int(
+                    self._c_snapshot_quarantined.value()
+                ),
+                "restored_from_snapshot": int(
+                    self._c_restored_from_snapshot.value()
+                ),
+                "memo_spills": int(self._c_memo_spills.value()),
+                "memo_entries_restored": int(
+                    self._c_memo_entries_restored.value()
+                ),
                 "engines": {
                     e.fingerprint: e.relation._engine.cache_info()
                     for e in resident

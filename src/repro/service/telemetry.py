@@ -7,8 +7,7 @@ process-wide :class:`MetricsRegistry` of typed instruments:
   dispatches, evictions).  Optionally labelled
   (``counter.labels("mine").inc()``).
 * :class:`Gauge` — point-in-time values (queue depth, resident bytes,
-  breaker state), usually refreshed by a *collect hook* just before a
-  scrape.
+  breaker state).
 * :class:`Histogram` — fixed-bucket latency distributions with
   **log-spaced** bucket bounds and exact p50/p95/p99 readout from the
   bucket counts (:meth:`Histogram.quantile`).
@@ -324,7 +323,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._instruments: dict[str, _Instrument] = {}
-        self._collect_hooks: list = []
 
     # ------------------------------------------------------------------
     # Instrument registration (get-or-create; shape conflicts are bugs)
@@ -359,21 +357,11 @@ class MetricsRegistry:
     def get(self, name: str) -> _Instrument | None:
         return self._instruments.get(name)
 
-    def add_collect_hook(self, hook) -> None:
-        """``hook()`` runs just before every render/snapshot — the place
-        to refresh gauges (queue depth, resident bytes, breaker state)."""
-        self._collect_hooks.append(hook)
-
-    def _collect(self) -> None:
-        for hook in self._collect_hooks:
-            hook()
-
     # ------------------------------------------------------------------
     # Output
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         """JSON-able dump of every instrument (the wire/merge format)."""
-        self._collect()
         with self._lock:
             instruments = list(self._instruments.values())
         out: dict = {}
@@ -662,10 +650,13 @@ class RequestLog:
     def _ensure_thread(self) -> None:
         with self._thread_lock:
             if self._thread is None:
-                self._thread = threading.Thread(
+                thread = threading.Thread(
                     target=self._drain, name="repro-telemetry-log", daemon=True
                 )
-                self._thread.start()
+                # Start before publishing: close() joins whatever thread
+                # it finds, and joining a never-started one raises.
+                thread.start()
+                self._thread = thread
 
     def _drain(self) -> None:
         while True:
@@ -704,7 +695,8 @@ class RequestLog:
 class Telemetry:
     """The service's telemetry plane: registry + request log + workers.
 
-    One instance per process (front end or worker).  ``enabled=False``
+    One instance per front-end process (workers keep a bare
+    :class:`MetricsRegistry`).  ``enabled=False``
     turns the per-request work (spans, log lines, latency observations)
     into cheap no-ops while keeping the component counters alive, so
     ``/stats`` stays truthful either way — the overhead bench compares
@@ -718,10 +710,8 @@ class Telemetry:
         log_sink=None,
         log_capacity: int = 1024,
         faults=None,
-        proc: str = "frontend",
     ) -> None:
         self.enabled = enabled
-        self.proc = proc
         self.metrics = MetricsRegistry()
         self.log = RequestLog(
             log_sink,
@@ -748,9 +738,6 @@ class Telemetry:
             "Per-stage span durations across requests and jobs",
             labelnames=("stage",),
         )
-        self.queue_wait = self.metrics.histogram(
-            "job_queue_wait_seconds", "Time jobs spent queued before running"
-        )
 
     def timings(self) -> StageTimings:
         return StageTimings()
@@ -759,7 +746,7 @@ class Telemetry:
         """One structured log line (adds kind/proc/ts envelope fields)."""
         if not self.enabled:
             return
-        record = {"kind": kind, "proc": self.proc, "ts": round(time.time(), 6)}
+        record = {"kind": kind, "proc": "frontend", "ts": round(time.time(), 6)}
         record.update(fields)
         self.log.emit(record)
 

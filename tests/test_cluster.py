@@ -340,6 +340,51 @@ class TestClusterService:
         samples = families["worker_memo_spills_total"]["samples"]
         assert sum(v for _, _, v in samples) >= 1
 
+    @pytest.mark.parametrize("worker_procs", [0, 1])
+    def test_snapshot_with_registration_chunk_rows_restores(
+        self, tmp_path, worker_procs
+    ):
+        """Older registries and ``repro-ajd snapshot`` wrote the ingest
+        chunk size into ``meta.json``'s ``extra``; such a snapshot must
+        still restore, hydrate from the snapshot, and mine exactly like
+        a fresh registration of the same CSV."""
+        from repro.relations.io import infer_integer_domains
+        from repro.relations.persist import read_snapshot_meta, save_snapshot
+        from repro.relations.relation import Relation
+
+        csv = make_csv(tmp_path, n_classes=3)
+        relation = infer_integer_domains(
+            Relation.from_csv_stream(csv, chunk_rows=2)
+        )
+        fp = relation.fingerprint()
+        spill = tmp_path / "spill"
+        snapshot_dir = spill / f"snapshot-{fp}"
+        save_snapshot(
+            relation, snapshot_dir, source=str(csv), extra={"chunk_rows": 2}
+        )
+        assert read_snapshot_meta(snapshot_dir)["extra"] == {"chunk_rows": 2}
+
+        with Service(ServiceConfig(port=0)) as fresh:
+            client = ServiceClient(f"http://127.0.0.1:{fresh.port}")
+            assert client.register_dataset(path=str(csv))["fingerprint"] == fp
+            expected = client.mine(fp, strategy="beam")
+
+        config = ServiceConfig(
+            port=0, spill_dir=spill, worker_procs=worker_procs
+        )
+        with Service(config) as restarted:
+            client = ServiceClient(f"http://127.0.0.1:{restarted.port}")
+            assert [d["fingerprint"] for d in client.list_datasets()] == [fp]
+            got = client.mine(fp, strategy="beam")
+            stats = client.stats()
+        assert _strip_timing(got) == _strip_timing(expected)
+        assert stats["registry"]["restored_from_snapshot"] == 1
+        if worker_procs:
+            assert stats["cluster"]["hydrations"]["snapshot"] == 1
+        else:
+            assert stats["registry"]["snapshot_reloads"] == 1
+            assert stats["registry"]["csv_reloads"] == 0
+
 
 class TestWorkerRuntime:
     """A relation the worker stops holding is freed by reference counting

@@ -136,7 +136,7 @@ class TestSpillCorruption:
         writer.put("k1", sample_report())
         reader = ResultCache(spill_dir=spill)  # fresh memory tier
         assert reader.get("k1") is None  # torn file: a miss, not an error
-        assert reader.quarantined == 1
+        assert reader.stats()["quarantined"] == 1
         assert reader.last_quarantine_at is not None
         assert list((spill / "quarantine").iterdir())  # moved aside
         assert not (spill / "result-k1.json").exists()
@@ -152,7 +152,48 @@ class TestSpillCorruption:
             spill_dir=spill,
             faults=plan({"site": "cache.spill_read_corrupt", "times": 1}),
         )
-        assert reader.get("k1") is None and reader.quarantined == 1
+        assert reader.get("k1") is None and reader.stats()["quarantined"] == 1
+
+    def test_concurrent_spills_of_one_key_never_tear(self, tmp_path, monkeypatch):
+        """Two job threads can spill one key (batch items and deadline jobs
+        do not coalesce).  A writer held inside ``json.dumps`` while a
+        longer document for the same key is published must not tear the
+        file when it resumes."""
+        from types import SimpleNamespace
+
+        import repro.service.cache as cache_module
+
+        spill = tmp_path / "spill"
+        cache = ResultCache(spill_dir=spill)
+        short = cache.admit("k1", sample_report(1))
+        longer = cache.admit("k1", sample_report(2), meta={"pad": "x" * 4096})
+        entered, release = threading.Event(), threading.Event()
+
+        def held_dumps(obj, **kwargs):
+            if threading.current_thread().name == "held-writer":
+                entered.set()
+                release.wait(10)
+            return json.dumps(obj, **kwargs)
+
+        monkeypatch.setattr(
+            cache_module,
+            "json",
+            SimpleNamespace(dumps=held_dumps, loads=json.loads),
+        )
+        held = threading.Thread(
+            target=cache.spill, args=(short,), name="held-writer"
+        )
+        held.start()
+        assert entered.wait(10)
+        cache.spill(longer)
+        release.set()
+        held.join(10)
+        assert not held.is_alive()
+        monkeypatch.undo()
+        reader = ResultCache(spill_dir=spill)
+        assert reader.get("k1") == sample_report(1)  # the last rename wins
+        assert reader.stats()["quarantined"] == 0
+        assert not [p for p in spill.iterdir() if ".tmp" in p.name]
 
 
 class TestWorkerSupervision:

@@ -52,7 +52,7 @@ class TestDatasetRegistry:
     def test_eager_and_streamed_share_a_fingerprint(self, table_csv):
         registry = DatasetRegistry()
         eager, created = registry.register_path(table_csv)
-        streamed, created2 = registry.register_path(table_csv, chunk_rows=2)
+        streamed, created2 = registry.register_path(table_csv)
         assert created and not created2
         assert eager.fingerprint == streamed.fingerprint
 
@@ -68,7 +68,7 @@ class TestDatasetRegistry:
             memory_budget_bytes=int(one.resident_bytes * 1.5)
         )
         entries = [registry.register_path(p)[0] for p in paths]
-        assert registry.evictions > 0
+        assert registry.stats()["evictions"] > 0
         assert not entries[0].resident  # the least recently used fell out
         assert entries[-1].resident  # the newest always stays
         assert registry.total_resident_bytes() <= int(one.resident_bytes * 1.5) or (
@@ -281,7 +281,7 @@ class TestResultCache:
         restarted = ResultCache(spill_dir=spill)
         assert restarted.get(key) == self.payload(j=0.125)
         assert restarted.get(old_key) == self.payload(j=0.25)
-        assert restarted.quarantined == 0
+        assert restarted.stats()["quarantined"] == 0
 
     def test_torn_spill_file_is_a_miss(self, tmp_path):
         spill = tmp_path / "spill"
@@ -698,7 +698,7 @@ class TestJobQueue:
             first = jobs.submit(fp, "mine", {})
             second = jobs.submit(fp, "mine", {})
             assert first is second
-            assert jobs.coalesced == 1
+            assert jobs.stats()["coalesced"] == 1
             gate.set()
             assert first.wait(10) and first.state == DONE
         finally:
@@ -783,7 +783,7 @@ class TestJobQueue:
             first = jobs.submit(fp, "mine", {"deadline": 60})
             second = jobs.submit(fp, "mine", {"deadline": 60})
             assert first is not second
-            assert jobs.coalesced == 0
+            assert jobs.stats()["coalesced"] == 0
             gate.set()
             assert first.wait(10) and second.wait(10)
         finally:

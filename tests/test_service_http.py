@@ -59,7 +59,7 @@ class TestDatasetEndpoints:
     def test_duplicate_registration_not_created(self, client, tmp_path):
         path = str(make_csv(tmp_path))
         first = client.register_dataset(path=path)
-        second = client.register_dataset(path=path, chunk_rows=2)
+        second = client.register_dataset(path=path)
         assert first["created"] is True and second["created"] is False
         assert first["fingerprint"] == second["fingerprint"]
 
