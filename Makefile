@@ -120,4 +120,4 @@ design-size:
 ## in the runtime image; swap in ruff/flake8 here when available)
 lint:
 	$(PYTHON) -m compileall -q src tests benchmarks examples scripts
-	$(PYTHON) -c "import repro, repro.info, repro.relations, repro.discovery, repro.service"
+	$(PYTHON) -c "import repro, repro.info, repro.relations, repro.discovery, repro.service, repro.cli, repro.service.cluster"

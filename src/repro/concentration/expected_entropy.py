@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import stats
-
 from repro.concentration.inequalities import expected_entropy_deficit
 from repro.errors import BoundConditionError
 
@@ -39,6 +37,8 @@ def exact_expected_entropy(d_a: int, d_b: int, eta: int) -> float:
     eta:
         Relation size ``η``; must satisfy ``0 < η ≤ d_A·d_B``.
     """
+    from scipy import stats
+
     _validate(d_a, d_b, eta)
     # Z ~ Hypergeometric(population d_A*d_B, successes d_B, draws eta):
     # the count of sampled cells in one row of the grid.

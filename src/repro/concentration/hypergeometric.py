@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import BoundConditionError
 
@@ -31,6 +30,8 @@ def hypergeometric_pmf(
     k: int, population: int, successes: int, draws: int
 ) -> float:
     """``P[Y = k]`` for ``Y ~ Hypergeometric(population, successes, draws)``."""
+    from scipy import stats
+
     _validate_hypergeometric(population, successes, draws)
     return float(stats.hypergeom.pmf(k, population, successes, draws))
 
@@ -115,6 +116,8 @@ def poissonization_ratio(d_a: int, d_b: int, eta: int) -> PoissonizationCheck:
         raise BoundConditionError(
             f"Lemma B.4 assumes η ∈ [d_A, d_A·d_B − d_B]; got η={eta}"
         )
+    from scipy import stats
+
     lam = eta / d_a
     max_ratio = 0.0
     argmax = 0

@@ -13,7 +13,6 @@ import math
 from collections.abc import Callable
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import BoundConditionError
 
@@ -59,6 +58,8 @@ def discrete_derivative(f: Callable[[int], float]) -> Callable[[int], float]:
 
 def _truncation_point(lam: float, tail: float) -> int:
     """Smallest ``k`` with ``P[W > k] ≤ tail`` for ``W ~ Poisson(λ)``."""
+    from scipy import stats
+
     return int(stats.poisson.isf(tail, lam)) + 2
 
 
@@ -68,6 +69,8 @@ def poisson_expectation(
     """``E[f(W)]`` for ``W ~ Poisson(λ)`` by truncated summation."""
     if lam <= 0:
         raise BoundConditionError(f"λ must be positive, got {lam}")
+    from scipy import stats
+
     upper = _truncation_point(lam, tail)
     ks = np.arange(0, upper + 1)
     pmf = stats.poisson.pmf(ks, lam)

@@ -522,11 +522,3 @@ class ServiceClient:
         )
         with urllib.request.urlopen(request, timeout=self.timeout) as response:
             return response.read().decode("utf-8")
-
-    def cluster_stats(self) -> dict | None:
-        """The ``cluster`` section of ``/stats``.
-
-        ``None`` when the server runs single-process
-        (``--worker-procs 0``), which omits the section entirely.
-        """
-        return self.stats().get("cluster")

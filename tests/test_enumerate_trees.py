@@ -76,3 +76,38 @@ class TestJInvariance:
             spurious_loss(r, tree) for tree in all_jointrees(schema)
         }
         assert len(losses) == 1
+
+
+SCHEMAS = [
+    [{"A", "B"}],
+    [{"A"}, {"B"}, {"C"}],
+    [{"A", "B"}, {"B", "C"}, {"C", "D"}, {"D", "E"}],
+    [{"X", "A"}, {"X", "B"}, {"X", "Y", "C"}, {"X", "Y", "D"}],
+    [{"A", "B", "C"}, {"B", "C", "D"}, {"C", "E"}, {"B", "F"}, {"G"}],
+]
+
+
+class TestEnumerationProperties:
+    @pytest.mark.parametrize("schema", SCHEMAS)
+    def test_no_duplicate_trees(self, schema):
+        trees = list(all_jointrees(schema))
+        assert len(set(trees)) == len(trees)
+
+    @pytest.mark.parametrize("schema", SCHEMAS)
+    def test_every_tree_has_running_intersection(self, schema):
+        # In a tree, the nodes holding an attribute induce a connected
+        # subtree iff exactly |nodes| - 1 edges join two of them.
+        for tree in all_jointrees(schema):
+            assert len(tree.edges()) == tree.num_nodes - 1
+            for attr in set().union(*schema):
+                holders = {n for n in tree.node_ids() if attr in tree.bag(n)}
+                inside = [
+                    e for e in tree.edges() if holders.issuperset(e)
+                ]
+                assert len(inside) == len(holders) - 1
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_mvd_star_yields_cayley_count(self, m):
+        # X ↠ Y₁|…|Y_m: every labeled tree on m nodes is a join tree.
+        schema = [{"X", f"Y{i}"} for i in range(m)]
+        assert count_jointrees(schema) == m ** (m - 2)
